@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import NonDegenerateRequired, NotAlmostComplex, NotSkew
 from .exterior4 import (
-    BIVECTOR_SLOTS,
     Form2,
     LinearMap4,
     compose_i,
@@ -37,6 +36,9 @@ from .torus_forms import (
     TrigPolyForm2,
     eval_at,
     exterior_d,
+    i_basis,
+    i_field,
+    i_square_resid,
     uniform_grid,
 )
 
@@ -116,9 +118,7 @@ def verify_brane(omega: Form2, f, grid: int = 8, tol: float = 1e-9) -> BraneRepo
         r_sq = float(np.abs(w_ff - float(target)).max())
         r_orth = float(np.abs(w_fo).max())
         r_closed = float(_closedness_resid(f))
-        i_mats = _batched_i(omega, coeff)
-        sq = np.einsum("nij,njk->nik", i_mats, i_mats)
-        r_i = float(np.abs(sq + np.eye(4)).max())
+        r_i = i_square_resid(i_field(i_basis(omega), coeff))
         orientation_ok = bool(w_ff.min() > 0)
         grid_used = len(pts)
 
@@ -133,16 +133,6 @@ def _wedge_values(a, b):
     a12, a13, a14, a23, a24, a34 = (a[:, i] for i in range(6))
     b12, b13, b14, b23, b24, b34 = (b[..., i] for i in range(6))
     return a12 * b34 + a34 * b12 - a13 * b24 - a24 * b13 + a14 * b23 + a23 * b14
-
-
-def _batched_i(omega: Form2, coeff):
-    b_omega = np.array(matrix_of_form2(omega), dtype=float)
-    n = len(coeff)
-    b_f = np.zeros((n, 4, 4))
-    for idx, (a, b) in enumerate(BIVECTOR_SLOTS):
-        b_f[:, a - 1, b - 1] = coeff[:, idx]
-        b_f[:, b - 1, a - 1] = -coeff[:, idx]
-    return np.linalg.solve(b_omega[None, :, :], b_f)
 
 
 def verify_holomorphic_symplectic(

@@ -8,8 +8,9 @@ quadric       sample the period quadric through a brane's class and
               reconstruct a constant brane from every sample
 metric        evaluate the induced cylinder metric (single point or sweep),
               CSV output
-nijenhuis     integrability diagnostics: Nijenhuis defect vs |dF| plus the
-              finite-difference/exterior-derivative identity residual
+nijenhuis     integrability diagnostics: Nijenhuis defect (exact derivatives)
+              vs |dF| plus the finite-difference/exterior-derivative identity
+              residual, whose step is max(--h, 1e-5)
 example-torus run the bundled standard-torus example end to end
 
 File formats (JSON, ``version: 1``):
@@ -97,6 +98,9 @@ def _require(cond, message):
 def _check_number(value, where):
     _require(isinstance(value, (int, float)) and not isinstance(value, bool),
              f"{where}: expected a number, got {value!r}")
+    # json.load accepts the NaN and Infinity literals; ints are always finite
+    _require(isinstance(value, int) or math.isfinite(value),
+             f"{where}: expected a finite number, got {value!r}")
     return value
 
 
@@ -170,7 +174,11 @@ def _emit(text, out_path):
 def _finish_report(report, args):
     if not getattr(args, "no_timestamp", False):
         report["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise BranekitError(f"report holds a non-finite number ({exc})") from exc
+    _emit(text + "\n", args.out)
 
 
 def _brane_report_dict(rep):
@@ -328,13 +336,18 @@ def cmd_metric(args):
 def cmd_nijenhuis(args):
     omega = _parse_constant_form(_load_json(args.omega_file), args.omega_file)
     form = _parse_form(_load_json(args.form_file), args.form_file)
-    max_defect, max_df = nijenhuis_defect(omega, form, grid=args.grid, h=args.h, tol=args.tol)
+    max_defect, max_df = nijenhuis_defect(omega, form, grid=args.grid, tol=args.tol)
     identity_h = max(args.h, 1e-5)  # smaller steps only amplify rounding noise
     identity_resid = integrability_identity_residual(
         omega, form, _IDENTITY_POINT, h=identity_h, tol=args.tol
     )
     flat_tol = 1e-6
-    consistent = (max_defect <= flat_tol) == (max_df <= flat_tol)
+    # NaN <= flat_tol is false on both sides, so a NaN would read as consistent
+    consistent = (
+        math.isfinite(max_defect)
+        and math.isfinite(max_df)
+        and (max_defect <= flat_tol) == (max_df <= flat_tol)
+    )
     report = {
         "version": 1,
         "command": "nijenhuis",
@@ -491,7 +504,11 @@ def _build_parser():
     p = sub.add_parser("nijenhuis", help="integrability diagnostics for a form pair")
     p.add_argument("omega_file")
     p.add_argument("form_file")
-    p.add_argument("--h", type=float, default=1e-5, help="finite-difference step")
+    p.add_argument(
+        "--h", type=float, default=1e-5,
+        help="central-difference step of the identity residual, which uses "
+        "max(h, 1e-5); the defect uses exact derivatives",
+    )
     common(p)
     p.set_defaults(func=cmd_nijenhuis)
 
@@ -502,6 +519,23 @@ def _build_parser():
     return parser
 
 
+#: (option, test, rule) for each numeric option with a restricted range;
+#: an option a command does not take is skipped
+_OPTION_RULES = (
+    ("grid", lambda v: v >= 1, "an integer >= 1"),
+    ("h", lambda v: math.isfinite(v) and v > 0, "a finite number > 0"),
+    ("samples", lambda v: v >= 0, "an integer >= 0"),
+    ("sweep", lambda v: v >= 0, "an integer >= 0"),
+)
+
+
+def _validate_options(args):
+    for name, ok, rule in _OPTION_RULES:
+        value = getattr(args, name, None)
+        if value is not None and not ok(value):
+            raise SchemaError(f"--{name} must be {rule}, got {value!r}")
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -509,6 +543,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _validate_options(args)
         return args.func(args)
     except (BranekitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from branekit import cli
 from branekit.cli import main
 
 ZEROS = {"12": 0, "13": 0, "14": 0, "23": 0, "24": 0, "34": 0}
@@ -216,4 +217,49 @@ class TestExampleTorus:
     def test_no_partial_writes_on_input_error(self, tmp_path, omega_file):
         out = tmp_path / "never.json"
         assert main(["verify", omega_file, "/nonexistent.json", "--out", str(out)]) == 2
+        assert not out.exists()
+
+
+class TestOptionRanges:
+    @pytest.mark.parametrize(
+        "command, form, option, value",
+        [
+            ("verify", "rotation_file", "--grid", "0"),
+            ("nijenhuis", "rotation_file", "--h", "0"),
+            ("metric", "f0_file", "--sweep", "-3"),
+            ("quadric", "f0_file", "--samples", "-1"),
+        ],
+    )
+    def test_out_of_range_option_is_input_error(
+        self, request, omega_file, tmp_path, command, form, option, value
+    ):
+        out = tmp_path / "never.out"
+        form_file = request.getfixturevalue(form)
+        code = main([command, omega_file, form_file, option, value, "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_coefficient_is_input_error(self, tmp_path, omega_file, value):
+        form = write_json(
+            tmp_path / "nan.json",
+            {"version": 1, "kind": "constant2", "coeffs": dict(ZEROS, **{"13": value})},
+        )
+        out = tmp_path / "never.json"
+        assert main(["verify", omega_file, form, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_nan_defect_does_not_pass(self, monkeypatch, omega_file, rotation_file):
+        reports = []
+        monkeypatch.setattr(cli, "nijenhuis_defect", lambda *a, **k: (math.nan, math.nan))
+        monkeypatch.setattr(cli, "_finish_report", lambda report, args: reports.append(report))
+        assert main(["nijenhuis", omega_file, rotation_file]) == 1
+        assert reports[0]["integrable_iff_closed"] is False
+        assert reports[0]["pass"] is False
+
+    def test_nan_in_report_is_input_error(self, omega_file, f0_file, tmp_path):
+        out = tmp_path / "never.json"
+        assert main(["verify", omega_file, f0_file, "--tol", "nan", "--out", str(out)]) == 2
         assert not out.exists()

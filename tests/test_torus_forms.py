@@ -2,6 +2,7 @@
 diagnostics with their finite-difference cross-checks."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from branekit import torus_forms
 from branekit.errors import NotPointwiseBrane
 from branekit.exterior4 import Form2, matrix_of_form2
 from branekit.torus_forms import (
@@ -225,6 +227,23 @@ def _oracle_defect(x):
     return np.abs(n).max()
 
 
+def _varying_defect_family():
+    """A pointwise brane for W0 whose Nijenhuis defect varies over the torus.
+
+    F = (c - r s) F0 + (s + r c) kappa + r nu with r = sin x1, c = cos y1,
+    s = sin y1 and nu = e^{12} - e^{34}: nu is orthogonal to W0, F0 and kappa
+    and nu ^ nu = -2, so F ^ F = 2 (1 + r^2) - 2 r^2 = W0 ^ W0 everywhere.
+    """
+    r = TrigPolyFn.mode((1, 0, 0, 0), sin=1)
+    c = TrigPolyFn.mode((0, 1, 0, 0), cos=1)
+    s = TrigPolyFn.mode((0, 1, 0, 0), sin=1)
+    return (
+        (c - r * s) * TrigPolyForm2.from_constant(F0)
+        + (s + r * c) * TrigPolyForm2.from_constant(KAPPA)
+        + r * TrigPolyForm2.from_constant(Form2(c12=1, c34=-1))
+    )
+
+
 class TestNijenhuisDefect:
     def test_constant_brane_is_flat(self):
         defect, max_df = nijenhuis_defect(W0, F0, grid=4)
@@ -254,6 +273,35 @@ class TestNijenhuisDefect:
     def test_pointwise_failure_raises(self):
         with pytest.raises(NotPointwiseBrane):
             nijenhuis_defect(W0, Form2(c12=1), grid=2)
+
+    def test_exact_derivatives_match_identity_oracle_to_rounding(self):
+        defect, _ = nijenhuis_defect(W0, rotation_family((1, 0, 0, 0)), grid=8)
+        oracle = max(_oracle_defect(x) for x in uniform_grid(8))
+        assert abs(defect - oracle) <= 1e-12
+
+    def test_result_does_not_depend_on_chunk_size(self, monkeypatch):
+        f = _varying_defect_family()
+        n_points = 8 ** 4
+        results = []
+        for chunk in (1000, n_points, 10 * n_points):
+            monkeypatch.setattr(torus_forms, "CHUNK_POINTS", chunk)
+            results.append(nijenhuis_defect(W0, f, grid=8))
+        # the largest defect lies at x1 = pi/2, past the first 1000 points
+        assert results[0][0] > 3.0
+        for defect, max_df in results[1:]:
+            assert abs(defect - results[0][0]) <= 1e-14
+            assert abs(max_df - results[0][1]) <= 1e-14
+
+    def test_peak_memory_is_bounded_at_grid_16(self):
+        rot = rotation_family((1, 0, 0, 0))
+        nijenhuis_defect(W0, rot, grid=2)  # import-time and first-call allocations
+        tracemalloc.start()
+        try:
+            nijenhuis_defect(W0, rot, grid=16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * 2**20
 
     def test_defect_and_df_vanish_together(self):
         from conftest import random_brane_pair
