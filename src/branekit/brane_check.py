@@ -16,25 +16,28 @@ is always exact.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .errors import NonDegenerateRequired, NotAlmostComplex, NotSkew
+from .errors import NotAlmostComplex, NotSkew
 from .exterior4 import (
     Form2,
     LinearMap4,
     compose_i,
+    exact_div,
     form2_of_matrix,
+    half,
     is_almost_complex,
+    is_exact,
     matrix_of_form2,
-    pfaffian,
-    type_projectors,
+    square_resid,
+    wedge,
     wedge22,
 )
 from .torus_forms import (
     TrigPolyForm2,
-    eval_at,
+    as_trig,
+    check_omega,
     exterior_d,
     i_basis,
     i_field,
@@ -73,16 +76,6 @@ class HolSympReport:
     tol: float
 
 
-def _as_trig(f) -> TrigPolyForm2:
-    return TrigPolyForm2.from_constant(f) if isinstance(f, Form2) else f
-
-
-def _i_square_resid(omega: Form2, f: Form2, tol):
-    i = compose_i(omega, f, tol=min(tol, 1e-12))
-    sq = i @ i
-    return max(abs(sq.m[a][b] + (1 if a == b else 0)) for a in range(4) for b in range(4))
-
-
 def _closedness_resid(f: TrigPolyForm2):
     df = exterior_d(f)
     return df.coefficient_norm()
@@ -96,9 +89,8 @@ def verify_brane(omega: Form2, f, grid: int = 8, tol: float = 1e-9) -> BraneRepo
     fiber; non-constant ones on a uniform grid with ``grid`` points per
     axis.
     """
-    if abs(float(pfaffian(omega))) <= tol:
-        raise NonDegenerateRequired("omega is degenerate")
-    f = _as_trig(f)
+    check_omega(omega, tol)
+    f = as_trig(f)
     target = wedge22(omega, omega).v
 
     if f.is_constant:
@@ -107,14 +99,14 @@ def verify_brane(omega: Form2, f, grid: int = 8, tol: float = 1e-9) -> BraneRepo
         r_sq = abs(w_ff - target)
         r_orth = abs(wedge22(fc, omega).v)
         r_closed = 0
-        r_i = _i_square_resid(omega, fc, tol)
+        r_i = square_resid(compose_i(omega, fc, tol=min(tol, 1e-12)))
         orientation_ok = w_ff > 0
         grid_used = 1
     else:
         pts = uniform_grid(grid)
         coeff = f.eval_grid(pts)
-        w_ff = _wedge_values(coeff, coeff)
-        w_fo = _wedge_values(coeff, np.asarray([float(v) for v in omega.coeffs])[None, :])
+        w_ff = wedge(coeff.T, coeff.T)
+        w_fo = wedge(coeff.T, [float(v) for v in omega.coeffs])
         r_sq = float(np.abs(w_ff - float(target)).max())
         r_orth = float(np.abs(w_fo).max())
         r_closed = float(_closedness_resid(f))
@@ -128,13 +120,6 @@ def verify_brane(omega: Form2, f, grid: int = 8, tol: float = 1e-9) -> BraneRepo
     return BraneReport(r_sq, r_orth, r_closed, r_i, orientation_ok, passed, grid_used, tol)
 
 
-def _wedge_values(a, b):
-    """Vectorised 6-term wedge formula on (N, 6) coefficient arrays."""
-    a12, a13, a14, a23, a24, a34 = (a[:, i] for i in range(6))
-    b12, b13, b14, b23, b24, b34 = (b[..., i] for i in range(6))
-    return a12 * b34 + a34 * b12 - a13 * b24 - a24 * b13 + a14 * b23 + a23 * b14
-
-
 def verify_holomorphic_symplectic(
     re, im, grid: int = 8, tol: float = 1e-9
 ) -> HolSympReport:
@@ -144,7 +129,7 @@ def verify_holomorphic_symplectic(
     part is re^re - im^im and imaginary part 2 re^im; positivity asks
     (re+i im)^(conjugate) = re^re + im^im to exceed tol everywhere.
     """
-    re, im = _as_trig(re), _as_trig(im)
+    re, im = as_trig(re), as_trig(im)
     if re.is_constant and im.is_constant:
         rc, ic = re.constant_part(), im.constant_part()
         w_rr = wedge22(rc, rc).v
@@ -155,11 +140,11 @@ def verify_holomorphic_symplectic(
         grid_used = 1
     else:
         pts = uniform_grid(grid)
-        rc = re.eval_grid(pts)
-        ic = im.eval_grid(pts)
-        w_rr = _wedge_values(rc, rc)
-        w_ii = _wedge_values(ic, ic)
-        w_ri = _wedge_values(rc, ic)
+        rc = re.eval_grid(pts).T
+        ic = im.eval_grid(pts).T
+        w_rr = wedge(rc, rc)
+        w_ii = wedge(ic, ic)
+        w_ri = wedge(rc, ic)
         square_resid = float(
             np.maximum(np.abs(w_rr - w_ii), np.abs(2 * w_ri)).max()
         )
@@ -209,28 +194,21 @@ def deformation_residuals(omega: Form2, f, alpha, grid: int = 8, tol: float = 1e
       r_closed = coefficient norm of d(alpha);
     all three vanish exactly when F + alpha is again a brane for omega.
     """
-    f, alpha = _as_trig(f), _as_trig(alpha)
+    f, alpha = as_trig(f), as_trig(alpha)
     if f.is_constant and alpha.is_constant:
         fc, ac = f.constant_part(), alpha.constant_part()
-        half = _half_for(ac.coeffs)
-        r_quad = abs(wedge22(fc, ac).v + half * wedge22(ac, ac).v)
+        h = half(is_exact(*ac.coeffs))
+        r_quad = abs(wedge22(fc, ac).v + h * wedge22(ac, ac).v)
         r_orth = abs(wedge22(omega, ac).v)
     else:
         pts = uniform_grid(grid)
-        fc = f.eval_grid(pts)
-        ac = alpha.eval_grid(pts)
-        oc = np.asarray([float(v) for v in omega.coeffs])[None, :]
-        r_quad = float(
-            np.abs(_wedge_values(fc, ac) + 0.5 * _wedge_values(ac, ac)).max()
-        )
-        r_orth = float(np.abs(_wedge_values(ac, oc)).max())
+        fc = f.eval_grid(pts).T
+        ac = alpha.eval_grid(pts).T
+        oc = [float(v) for v in omega.coeffs]
+        r_quad = float(np.abs(wedge(fc, ac) + 0.5 * wedge(ac, ac)).max())
+        r_orth = float(np.abs(wedge(ac, oc)).max())
     r_closed = _closedness_resid(alpha)
     return r_quad, r_orth, r_closed
-
-
-def _half_for(values):
-    exact = all(isinstance(v, (int, Fraction)) for v in values)
-    return Fraction(1, 2) if exact else 0.5
 
 
 def linearized_deformation_check(
@@ -238,21 +216,32 @@ def linearized_deformation_check(
 ) -> bool:
     """True iff alpha is closed and of pure type (1,1) for I = omega^{-1} o F.
 
-    Equivalently (and testably): alpha wedges to zero against both F and
-    omega at every point.
+    Needs I^2 = -Id (else NotAlmostComplex, beyond max(tol, 1e-9)): then
+    F + i*omega is of type (2,0), so the (2,0)+(0,2) part of alpha is
+
+        ((alpha^F) F + (alpha^omega) omega) / (omega^omega),
+
+    which vanishes exactly when alpha wedges to zero against F and omega.
+    Its largest coefficient over the grid, computed in one batch (exactly
+    at one fiber when F and alpha are constant), is compared with tol.
     """
-    f, alpha = _as_trig(f), _as_trig(alpha)
+    f, alpha = as_trig(f), as_trig(alpha)
     if _closedness_resid(alpha) > tol:
         return False
+    # compose_i raises NonDegenerateRequired for a degenerate omega, whatever F is
+    i_const = compose_i(omega, f.constant_part())
     if f.is_constant and alpha.is_constant:
-        sample_points = [(0.0, 0.0, 0.0, 0.0)]
+        fc, ac, oc = f.constant_part().coeffs, alpha.constant_part().coeffs, omega.coeffs
     else:
-        sample_points = uniform_grid(grid)
-    i_const = compose_i(omega, f.constant_part()) if f.is_constant else None
-    for x in sample_points:
-        i = i_const if i_const is not None else compose_i(omega, eval_at(f, x))
-        a_here = eval_at(alpha, x) if not alpha.is_constant else alpha.constant_part()
-        _, p2002 = type_projectors(i, a_here, tol=max(tol, 1e-9))
-        if p2002.max_abs() > tol:
-            return False
-    return True
+        pts = uniform_grid(grid)
+        fc, ac = f.eval_grid(pts).T, alpha.eval_grid(pts).T
+        oc = [float(v) for v in omega.coeffs]
+    if f.is_constant:
+        resid = square_resid(i_const)
+    else:
+        resid = i_square_resid(i_field(i_basis(omega), fc.T))
+    if not resid <= max(tol, 1e-9):
+        raise NotAlmostComplex("type projection needs I*I = -Id")
+    w_f, w_o, vol = wedge(ac, fc), wedge(ac, oc), wedge(oc, oc)
+    p2002 = np.array([exact_div(w_f * x + w_o * y, vol) for x, y in zip(fc, oc)])
+    return bool(np.abs(p2002).max() <= tol)  # a NaN never passes

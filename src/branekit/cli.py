@@ -470,7 +470,9 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, needs_grid=True):
-        p.add_argument("--tol", type=float, default=1e-9, help="verification tolerance")
+        p.add_argument(
+            "--tol", type=float, default=1e-9, help="verification tolerance, a finite number >= 0"
+        )
         if needs_grid:
             p.add_argument("--grid", type=int, default=8, help="grid points per axis")
         p.add_argument("--out", default=None, help="write the report to this path")
@@ -522,6 +524,7 @@ def _build_parser():
 #: (option, test, rule) for each numeric option with a restricted range;
 #: an option a command does not take is skipped
 _OPTION_RULES = (
+    ("tol", lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0"),
     ("grid", lambda v: v >= 1, "an integer >= 1"),
     ("h", lambda v: math.isfinite(v) and v > 0, "a finite number > 0"),
     ("samples", lambda v: v >= 0, "an integer >= 0"),

@@ -24,7 +24,7 @@ from math import isqrt
 import numpy as np
 
 from .errors import DegenerateSubspace, SignatureMismatch, SpaceMismatch, WrongSpace
-from .exterior4 import Form2, wedge22
+from .exterior4 import Form2, exact_div, is_exact, wedge22
 
 
 @dataclass(frozen=True)
@@ -143,13 +143,6 @@ def signature(space_or_matrix, tol: float = 1e-9):
     return pos, neg
 
 
-def exact_div(num, den):
-    """num / den, staying in Fractions when both operands are exact."""
-    if isinstance(num, (int, Fraction)) and isinstance(den, (int, Fraction)):
-        return Fraction(num) / Fraction(den)
-    return num / den
-
-
 def _exact_sqrt(q: Fraction):
     """Square root of a positive rational if it is rational, else None."""
     if q.numerator < 0:
@@ -164,9 +157,7 @@ def _scale_to(v: CohClass, ratio):
     """Multiply v by sqrt(ratio); stays exact when the root is rational."""
     if ratio == 1:
         return v
-    if isinstance(ratio, (int, Fraction)) and all(
-        isinstance(c, (int, Fraction)) for c in v.coeffs
-    ):
+    if is_exact(ratio, *v.coeffs):
         root = _exact_sqrt(Fraction(ratio))
         if root is not None:
             return root * v
@@ -199,14 +190,8 @@ def indefinite_gram_schmidt(vectors, target_squares, tol: float = 1e-9):
             raise SignatureMismatch(
                 f"pivot square {sq} cannot be scaled to target {target}"
             )
-        out.append(_scale_to(u, _ratio(target, sq)))
+        out.append(_scale_to(u, exact_div(target, sq)))
     return out
-
-
-def _ratio(target, sq):
-    if isinstance(target, (int, Fraction)) and isinstance(sq, (int, Fraction)):
-        return Fraction(target) / Fraction(sq)
-    return float(target) / float(sq)
 
 
 def standard_basis(space: IntersectionSpace):

@@ -28,12 +28,21 @@ from .errors import DegenerateForm, NonDegenerateRequired, NotAlmostComplex
 BIVECTOR_SLOTS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 
 
-def _is_exact(*values):
+def is_exact(*values):
+    """True when every value is an int or a Fraction, so arithmetic stays exact."""
     return all(isinstance(v, (int, Fraction)) for v in values)
 
 
-def _half(exact):
+def half(exact):
+    """1/2 as a Fraction on the exact path, as a float otherwise."""
     return Fraction(1, 2) if exact else 0.5
+
+
+def exact_div(num, den):
+    """num / den, staying in Fractions when both operands are exact."""
+    if is_exact(num, den):
+        return Fraction(num) / Fraction(den)
+    return num / den
 
 
 @dataclass(frozen=True)
@@ -157,19 +166,21 @@ def form2_of_matrix(b):
     )
 
 
-def wedge22(a: Form2, b: Form2) -> Form4:
-    """Wedge product of two 2-forms, as the coefficient of e^{1234}.
+def wedge(a, b):
+    """Coefficient on e^{1234} of a wedge b, for 6-sequences in slot order.
 
-    Symmetric and bilinear; wedge22(a, a) vanishes for decomposable a.
+    Plain ring arithmetic, so the entries may be exact scalars, numpy
+    arrays (the rows ``coeff.T`` of an (N, 6) grid evaluation) or
+    trig polynomials alike.  Symmetric and bilinear.
     """
-    return Form4(
-        a.c12 * b.c34
-        + a.c34 * b.c12
-        - a.c13 * b.c24
-        - a.c24 * b.c13
-        + a.c14 * b.c23
-        + a.c23 * b.c14
-    )
+    a12, a13, a14, a23, a24, a34 = a
+    b12, b13, b14, b23, b24, b34 = b
+    return a12 * b34 + a34 * b12 - a13 * b24 - a24 * b13 + a14 * b23 + a23 * b14
+
+
+def wedge22(a: Form2, b: Form2) -> Form4:
+    """Wedge product of two 2-forms; wedge22(a, a) vanishes for decomposable a."""
+    return Form4(wedge(a.coeffs, b.coeffs))
 
 
 def pfaffian(f: Form2):
@@ -190,7 +201,7 @@ def _solve4(a_rows, rhs_rows, tol):
     NonDegenerateRequired when a pivot falls below ``tol`` (floats) or
     vanishes (exact scalars).
     """
-    exact = _is_exact(
+    exact = is_exact(
         *(e for row in a_rows for e in row), *(e for row in rhs_rows for e in row)
     )
     if exact:
@@ -225,20 +236,22 @@ def compose_i(omega: Form2, f: Form2, tol: float = 1e-12) -> LinearMap4:
     Exact over rational inputs.
     """
     pf = pfaffian(omega)
-    if (_is_exact(pf) and pf == 0) or abs(pf * pf) <= tol:
+    if (is_exact(pf) and pf == 0) or abs(pf * pf) <= tol:
         raise NonDegenerateRequired("omega is degenerate (pfaffian^2 <= tol)")
     b_omega = matrix_of_form2(omega)
     b_f = matrix_of_form2(f)
     return LinearMap4.from_rows(_solve4(b_omega, b_f, tol))
 
 
+def square_resid(i: LinearMap4):
+    """Max-norm of i@i + Id; exact over exact entries."""
+    sq = i @ i
+    return max(abs(sq.m[a][b] + (1 if a == b else 0)) for a in range(4) for b in range(4))
+
+
 def is_almost_complex(i: LinearMap4, tol: float = 1e-9) -> bool:
     """True iff the max-norm of i@i + Id is at most tol."""
-    sq = i @ i
-    resid = max(
-        abs(sq.m[a][b] + (1 if a == b else 0)) for a in range(4) for b in range(4)
-    )
-    return resid <= tol
+    return square_resid(i) <= tol
 
 
 def pullback_form2(p: LinearMap4, f: Form2) -> Form2:
@@ -259,9 +272,9 @@ def type_projectors(i: LinearMap4, beta: Form2, tol: float = 1e-9):
     if not is_almost_complex(i, tol):
         raise NotAlmostComplex("type projectors need i*i = -Id")
     invol = pullback_form2(i, beta)
-    half = _half(_is_exact(*beta.coeffs, *(e for row in i.m for e in row)))
-    p11 = half * (beta + invol)
-    p2002 = half * (beta - invol)
+    h = half(is_exact(*beta.coeffs, *(e for row in i.m for e in row)))
+    p11 = h * (beta + invol)
+    p2002 = h * (beta - invol)
     return p11, p2002
 
 

@@ -17,7 +17,6 @@ compared against it.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -26,7 +25,6 @@ from .cohomology import (
     CohClass,
     IntersectionSpace,
     constant_form_of_class,
-    exact_div,
     indefinite_gram_schmidt,
     nullspace_exact,
     signature,
@@ -40,6 +38,7 @@ from .errors import (
     SpaceMismatch,
     TargetOutsideSpan,
 )
+from .exterior4 import exact_div, half, is_exact
 
 
 @dataclass(frozen=True)
@@ -274,14 +273,9 @@ def deformation_residual(q: QuadricSpec, base: CohClass, alpha: CohClass):
     deformation equations; both vanish iff base + alpha lies on the quadric."""
     if alpha.space != q.space:
         raise SpaceMismatch("alpha lives in a different space")
-    half = Fraction(1, 2) if _exact(alpha.coeffs) else 0.5
     r1 = q.omega.pair(alpha)
-    r2 = base.pair(alpha) + half * alpha.pair(alpha)
+    r2 = base.pair(alpha) + half(is_exact(*alpha.coeffs)) * alpha.pair(alpha)
     return r1, r2
-
-
-def _exact(values):
-    return all(isinstance(v, (int, Fraction)) for v in values)
 
 
 def _standard_torus_classes():
@@ -417,7 +411,7 @@ def hodge_splitting(q: QuadricSpec, base: CohClass):
         )
 
     rows = [functional(base), functional(q.omega)]
-    if _exact(base.coeffs) and _exact(q.omega.coeffs):
+    if is_exact(*base.coeffs, *q.omega.coeffs):
         kernel = nullspace_exact(rows, dim)
     else:
         mat = np.asarray(rows, dtype=float)

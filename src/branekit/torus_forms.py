@@ -33,8 +33,11 @@ from .errors import NonDegenerateRequired, NotPointwiseBrane
 from .exterior4 import (
     BIVECTOR_SLOTS,
     Form2,
+    half,
+    is_exact,
     matrix_of_form2,
     pfaffian,
+    wedge,
 )
 
 ZERO_K = (0, 0, 0, 0)
@@ -117,20 +120,15 @@ class TrigPolyFn:
             if not isinstance(other, (int, float, Fraction)):
                 return NotImplemented
             return TrigPolyFn(tuple((k, other * a, other * b) for k, a, b in self.modes))
-        exact = all(
-            isinstance(v, (int, Fraction))
-            for _, a, b in list(self.modes) + list(other.modes)
-            for v in (a, b)
-        )
-        half = Fraction(1, 2) if exact else 0.5
+        h = half(is_exact(*(v for _, a, b in self.modes + other.modes for v in (a, b))))
         raw = []
         for k1, a1, b1 in self.modes:
             for k2, a2, b2 in other.modes:
                 kp = tuple(x + y for x, y in zip(k1, k2))
                 km = tuple(x - y for x, y in zip(k1, k2))
                 # cos cos, sin sin -> cosines; cross terms -> sines
-                raw.append((km, half * (a1 * a2 + b1 * b2), half * (b1 * a2 - a1 * b2)))
-                raw.append((kp, half * (a1 * a2 - b1 * b2), half * (a1 * b2 + b1 * a2)))
+                raw.append((km, h * (a1 * a2 + b1 * b2), h * (b1 * a2 - a1 * b2)))
+                raw.append((kp, h * (a1 * a2 - b1 * b2), h * (a1 * b2 + b1 * a2)))
         return TrigPolyFn(_canonical_modes(raw))
 
     __rmul__ = __mul__
@@ -255,16 +253,15 @@ def integrate(f: TrigPolyFn) -> float:
 
 def wedge_density(a: TrigPolyForm2, b: TrigPolyForm2) -> TrigPolyFn:
     """Coefficient function of a wedge b on e^{1234} (symbolic, exact)."""
-    a12, a13, a14, a23, a24, a34 = a.c
-    b12, b13, b14, b23, b24, b34 = b.c
-    return a12 * b34 + a34 * b12 - a13 * b24 - a24 * b13 + a14 * b23 + a23 * b14
+    return wedge(a.c, b.c)
 
 
 def uniform_grid(n: int):
     """The n^4 uniform grid on [0, 2 pi)^4 as an (n^4, 4) float array."""
     axis = 2 * math.pi * np.arange(n) / n
-    mesh = np.meshgrid(axis, axis, axis, axis, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    # views of the axis, so the stacked output is the only n^4 allocation
+    mesh = np.meshgrid(axis, axis, axis, axis, indexing="ij", copy=False)
+    return np.stack(mesh, axis=-1).reshape(-1, 4)
 
 
 # --- canonical constant forms on the torus ---------------------------------
@@ -299,13 +296,14 @@ def rotation_family(k) -> TrigPolyForm2:
     )
 
 
-def _coerce_trig(f) -> TrigPolyForm2:
+def as_trig(f) -> TrigPolyForm2:
+    """f as a trig-poly 2-form; a constant Form2 becomes the constant field."""
     return TrigPolyForm2.from_constant(f) if isinstance(f, Form2) else f
 
 
-def _check_omega(omega: Form2, tol):
-    pf = pfaffian(omega)
-    if abs(float(pf)) <= tol:
+def check_omega(omega: Form2, tol):
+    """Raise NonDegenerateRequired when |pfaffian(omega)| <= tol."""
+    if abs(float(pfaffian(omega))) <= tol:
         raise NonDegenerateRequired("omega is degenerate")
 
 
@@ -368,8 +366,8 @@ def nijenhuis_defect(omega: Form2, f, grid: int = 8, tol: float = 1e-9):
     walked in blocks of CHUNK_POINTS points, so the per-point work arrays
     keep a fixed size whatever the grid.
     """
-    _check_omega(omega, tol)
-    f = _coerce_trig(f)
+    check_omega(omega, tol)
+    f = as_trig(f)
     basis = i_basis(omega)
     f_and_partials = [f] + [
         TrigPolyForm2(tuple(fn.derivative(m) for fn in f.c)) for m in range(4)
@@ -399,8 +397,8 @@ def integrability_identity_residual(
     dF(I e_j, e_i, e_k) + dF(e_j, I e_i, e_k) with dF exact.  The two
     sides agree up to the O(h^2) finite-difference error.
     """
-    _check_omega(omega, tol)
-    f = _coerce_trig(f)
+    check_omega(omega, tol)
+    f = as_trig(f)
     # x, then x + h e_m and x - h e_m for m = 0..3
     steps = np.concatenate([np.zeros((1, 4)), h * np.eye(4), -h * np.eye(4)])
     i_mats = i_field(i_basis(omega), f.eval_grid(np.asarray(x, dtype=float) + steps))

@@ -17,14 +17,18 @@ from branekit.brane_check import (
 )
 from branekit.cohomology import class_of_constant_form, constant_form_of_class, torus_space
 from branekit.errors import NonDegenerateRequired, NotAlmostComplex, NotSkew
-from branekit.exterior4 import Form2, LinearMap4, compose_i, wedge22
+from branekit.exterior4 import Form2, LinearMap4, compose_i, type_projectors, wedge22
 from branekit.period_domain import QuadricSpec, build_chart, chart_point
 from branekit.torus_forms import (
+    TrigPolyFn,
     TrigPolyForm2,
+    eval_at,
+    exterior_d,
     rotation_family,
     standard_brane,
     standard_kahler,
     standard_symplectic,
+    uniform_grid,
 )
 
 from conftest import random_brane_pair, random_form2
@@ -211,14 +215,54 @@ class TestLinearizedDeformation:
             assert linearized_deformation_check(W0, F0, alpha) == expected
 
     def test_nonclosed_form_fails(self):
-        from branekit.torus_forms import TrigPolyFn, exterior_d
-
         # cos(x3) e^{12}: pointwise (1,1) everywhere but not closed
         alpha = TrigPolyForm2.from_fns(
             [TrigPolyFn.mode((0, 0, 1, 0), cos=1), 0, 0, 0, 0, 0]
         )
         assert exterior_d(alpha).coefficient_norm() > 0
         assert not linearized_deformation_check(W0, F0, alpha)
+
+    def test_agrees_with_pointwise_type_projectors(self):
+        rng = np.random.default_rng(31)
+        p_omega, p_f, p_kahler = random_brane_pair(rng)
+        k = (1, 0, -1, 2)
+        pulled_back = TrigPolyFn.mode(k, cos=1) * TrigPolyForm2.from_constant(
+            p_f
+        ) + TrigPolyFn.mode(k, sin=1) * TrigPolyForm2.from_constant(p_kahler)
+        verdicts = []
+        for omega, f in ((W0, rotation_family((1, 0, 0, 0))), (p_omega, pulled_back)):
+            for _ in range(6):
+                alpha = Form2.from_coeffs(tuple(float(v) for v in rng.normal(size=6)))
+                for scale in (1, 1e-8, 1e-10):
+                    got = linearized_deformation_check(omega, f, scale * alpha, grid=4)
+                    assert got == _pointwise_type_check(omega, f, scale * alpha, grid=4)
+                    verdicts.append(got)
+        assert set(verdicts) == {True, False}
+
+    def test_non_brane_field_is_not_almost_complex(self):
+        # cos<k,x> F0 + sin<k,x> omega gives I = cos I0 + sin Id, so I^2 != -Id
+        k = (0, 1, 0, 0)
+        f = TrigPolyFn.mode(k, cos=1) * TrigPolyForm2.from_constant(
+            F0
+        ) + TrigPolyFn.mode(k, sin=1) * TrigPolyForm2.from_constant(W0)
+        with pytest.raises(NotAlmostComplex):
+            linearized_deformation_check(W0, f, Form2(), grid=4)
+
+    def test_degenerate_omega_rejected(self):
+        for f in (F0, rotation_family((1, 0, 0, 0))):
+            with pytest.raises(NonDegenerateRequired):
+                linearized_deformation_check(Form2(c12=1), f, Form2(c34=1), grid=2)
+
+
+def _pointwise_type_check(omega, f, alpha, grid, tol=1e-9):
+    """The (2,0)+(0,2) part of a constant alpha from type_projectors at every
+    grid point; True iff it is at most tol everywhere."""
+    for x in uniform_grid(grid):
+        i = compose_i(omega, eval_at(f, x))
+        _, p2002 = type_projectors(i, alpha, tol=tol)
+        if p2002.max_abs() > tol:
+            return False
+    return True
 
 
 class TestBraneCircle:

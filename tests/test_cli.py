@@ -228,6 +228,7 @@ class TestOptionRanges:
             ("nijenhuis", "rotation_file", "--h", "0"),
             ("metric", "f0_file", "--sweep", "-3"),
             ("quadric", "f0_file", "--samples", "-1"),
+            ("verify", "f0_file", "--tol", "-1"),
         ],
     )
     def test_out_of_range_option_is_input_error(
@@ -238,6 +239,11 @@ class TestOptionRanges:
         code = main([command, omega_file, form_file, option, value, "--out", str(out)])
         assert code == 2
         assert not out.exists()
+
+    def test_zero_tol_passes_exact_inputs(self, omega_file, f0_file, tmp_path):
+        out = tmp_path / "zero_tol.json"
+        assert main(["verify", omega_file, f0_file, "--tol", "0", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["pass"] is True
 
 
 class TestNonFinite:

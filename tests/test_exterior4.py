@@ -23,9 +23,19 @@ from branekit.exterior4 import (
     matrix_of_form2,
     pullback_form2,
     type_projectors,
+    wedge,
     wedge22,
 )
-from branekit.torus_forms import standard_brane, standard_kahler, standard_symplectic
+from branekit.torus_forms import (
+    TrigPolyFn,
+    TrigPolyForm2,
+    eval_at,
+    standard_brane,
+    standard_kahler,
+    standard_symplectic,
+    uniform_grid,
+    wedge_density,
+)
 
 from conftest import random_brane_pair, random_form2
 
@@ -81,6 +91,18 @@ class TestWedge:
     @given(form2s, form2s)
     def test_matches_bruteforce_oracle(self, a, b):
         assert wedge22(a, b).v == wedge_oracle(a, b)
+        # the same kernel on grid rows and on trig polynomials
+        ta = TrigPolyFn.mode((1, 0, 2, 0), cos=1) * TrigPolyForm2.from_constant(a)
+        tb = TrigPolyForm2.from_constant(b) + TrigPolyFn.mode((0, 1, 0, -1), sin=2) * (
+            TrigPolyForm2.from_constant(a)
+        )
+        pts = uniform_grid(3)
+        rows = wedge(ta.eval_grid(pts).T, tb.eval_grid(pts).T)
+        pointwise = [wedge22(eval_at(ta, x), eval_at(tb, x)).v for x in pts]
+        assert np.allclose(rows, pointwise, rtol=1e-12, atol=1e-12)
+        density = wedge(ta.c, tb.c)
+        assert density == wedge_density(ta, tb)
+        assert np.allclose(density.eval_grid(pts), rows, rtol=1e-12, atol=1e-12)
 
     @given(form2s, form2s, form2s, ints)
     def test_symmetric_and_bilinear(self, a, b, c, s):

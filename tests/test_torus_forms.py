@@ -183,6 +183,29 @@ class TestEvalIntegrate:
         )
 
 
+class TestUniformGrid:
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_equals_stacked_meshgrids(self, n):
+        axis = 2 * math.pi * np.arange(n) / n
+        mesh = np.meshgrid(axis, axis, axis, axis, indexing="ij")
+        expected = np.stack([m.ravel() for m in mesh], axis=1)
+        pts = uniform_grid(n)
+        assert pts.shape == (n ** 4, 4)
+        assert pts.flags.c_contiguous
+        assert np.array_equal(pts, expected)
+
+    def test_peak_memory_is_about_the_output(self):
+        uniform_grid(2)  # first-call allocations
+        tracemalloc.start()
+        try:
+            pts = uniform_grid(16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # four full meshgrids stacked would peak at twice the output
+        assert peak <= 1.25 * pts.nbytes
+
+
 class TestRotationFamily:
     def test_pointwise_wedge_identities_exact(self):
         rot = rotation_family((1, 0, 0, 0))
