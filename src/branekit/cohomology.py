@@ -17,23 +17,33 @@ on the torus and the 6-dimensional model, with the volume class of
 dx1^dy1^dx2^dy2 normalised to 1.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 
 import numpy as np
 
 from .errors import DegenerateSubspace, SignatureMismatch, SpaceMismatch, WrongSpace
-from .exterior4 import Form2, exact_div, is_exact, wedge22
+from .exterior4 import Form2, exact_div, is_exact, max_abs, wedge22
 
 
 @dataclass(frozen=True)
 class IntersectionSpace:
-    """A finite-dimensional real inner-product space (possibly indefinite)."""
+    """A finite-dimensional real inner-product space (possibly indefinite).
+
+    ``sparse_rows[i]`` holds the nonzero entries ``(j, pairing[i][j])`` of
+    row i in column order.  It is derived from ``pairing`` once, here, and
+    takes no part in equality, hashing or the repr.
+    """
 
     name: str
     dim: int
     pairing: tuple  # dim x dim symmetric, exact integer entries
+    sparse_rows: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        rows = tuple(tuple((j, p) for j, p in enumerate(row) if p != 0) for row in self.pairing)
+        object.__setattr__(self, "sparse_rows", rows)
 
 
 @dataclass(frozen=True)
@@ -52,10 +62,11 @@ class CohClass:
     def pair(self, other: "CohClass"):
         if self.space != other.space:
             raise SpaceMismatch("classes live in different spaces")
-        p = self.space.pairing
+        y = other.coeffs
+        # only the nonzero entries: bit-identical to the dense sum when every
+        # row has at most one, and exact for exact inputs in any case
         return sum(
-            xi * sum(p[i][j] * other.coeffs[j] for j in range(len(other.coeffs)))
-            for i, xi in enumerate(self.coeffs)
+            xi * (p * y[j]) for xi, row in zip(self.coeffs, self.space.sparse_rows) for j, p in row
         )
 
     def __add__(self, other):
@@ -80,7 +91,7 @@ class CohClass:
         return np.asarray([float(v) for v in self.coeffs])
 
     def max_abs(self):
-        return max(abs(v) for v in self.coeffs)
+        return max_abs(self.coeffs)
 
 
 # the six basis representatives, in the order B1..B6

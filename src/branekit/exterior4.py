@@ -45,6 +45,18 @@ def exact_div(num, den):
     return num / den
 
 
+def max_abs(values):
+    """The largest |v|, of the values' own scalar type; a NaN anywhere gives
+    NaN (the builtin ``max`` keeps a NaN only when it comes first)."""
+    it = iter(values)
+    out = abs(next(it))
+    for v in it:
+        a = abs(v)
+        if a > out or a != a:
+            out = a
+    return out
+
+
 @dataclass(frozen=True)
 class Form1:
     """A 1-form, coefficients on (dx1, dy1, dx2, dy2)."""
@@ -95,7 +107,7 @@ class Form2:
     __mul__ = __rmul__
 
     def max_abs(self):
-        return max(abs(a) for a in self.coeffs)
+        return max_abs(self.coeffs)
 
 
 @dataclass(frozen=True)
@@ -144,7 +156,7 @@ class LinearMap4:
         return LinearMap4.from_rows(tuple(zip(*self.m)))
 
     def max_abs(self):
-        return max(abs(e) for row in self.m for e in row)
+        return max_abs(e for row in self.m for e in row)
 
 
 def matrix_of_form2(f: Form2):
@@ -246,7 +258,7 @@ def compose_i(omega: Form2, f: Form2, tol: float = 1e-12) -> LinearMap4:
 def square_resid(i: LinearMap4):
     """Max-norm of i@i + Id; exact over exact entries."""
     sq = i @ i
-    return max(abs(sq.m[a][b] + (1 if a == b else 0)) for a in range(4) for b in range(4))
+    return max_abs(sq.m[a][b] + (1 if a == b else 0) for a in range(4) for b in range(4))
 
 
 def is_almost_complex(i: LinearMap4, tol: float = 1e-9) -> bool:

@@ -17,6 +17,7 @@ compared against it.
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -90,13 +91,14 @@ class QuadricChart:
 
 
 def _standard_candidates(space: IntersectionSpace):
-    """Deterministic candidate list: basis vectors, then pairwise sums,
-    then pairwise differences."""
-
-    singles = list(standard_basis(space))
-    sums = [singles[i] + singles[j] for i in range(space.dim) for j in range(i + 1, space.dim)]
-    diffs = [singles[i] - singles[j] for i in range(space.dim) for j in range(i + 1, space.dim)]
-    return singles + sums + diffs
+    """Deterministic candidates, built lazily: basis vectors, then pairwise
+    sums, then pairwise differences."""
+    singles = standard_basis(space)
+    yield from singles
+    for i, j in combinations(range(space.dim), 2):
+        yield singles[i] + singles[j]
+    for i, j in combinations(range(space.dim), 2):
+        yield singles[i] - singles[j]
 
 
 def _project_off(v: CohClass, basis):
@@ -159,23 +161,22 @@ def build_chart(q: QuadricSpec, base: CohClass, tol: float = 1e-9) -> QuadricCha
     s = q.omega_sq
     tol_eff = tol * max(1.0, abs(float(s)))
     accepted = [(base, s), (q.omega, s)]
-    candidates = _standard_candidates(q.space)
 
     b = None
-    for cand in candidates:
+    for cand in _standard_candidates(q.space):
         u = _project_off(cand, accepted)
         u_sq = u.pair(u)
         if u_sq > tol_eff:
             b = indefinite_gram_schmidt([u], [s], tol=tol_eff)[0]
             break
     if b is None:
-        u = _positive_direction(q, accepted, candidates, tol_eff)
+        u = _positive_direction(q, accepted, _standard_candidates(q.space), tol_eff)
         b = indefinite_gram_schmidt([u], [s], tol=tol_eff)[0]
     accepted.append((b, s))
 
     neg = []
     want = q.space.dim - 3
-    for cand in candidates:
+    for cand in _standard_candidates(q.space):
         if len(neg) == want:
             break
         u = _project_off(cand, accepted)
@@ -384,7 +385,7 @@ def scalar_with_imaginary_part(
     b_coef = exact_div(target.pair(f_class), f_class.pair(f_class))
     a_coef = exact_div(target.pair(omega_class), omega_class.pair(omega_class))
     resid = target - b_coef * f_class - a_coef * omega_class
-    if resid.max_abs() > tol:
+    if not resid.max_abs() <= tol:  # a NaN residual is outside the span too
         raise TargetOutsideSpan(
             f"target is not a combination of the two classes (residual {resid.max_abs()})"
         )
@@ -402,13 +403,11 @@ def hodge_splitting(q: QuadricSpec, base: CohClass):
     if not quadric_contains(q, base):
         raise NotInQuadric("base must lie on the quadric")
     pos_plane = (base, q.omega)
-    p = q.space.pairing
     dim = q.space.dim
 
     def functional(cls):
-        return tuple(
-            sum(cls.coeffs[i] * p[i][j] for i in range(dim)) for j in range(dim)
-        )
+        # c -> pairing @ c over the nonzero entries (the pairing is symmetric)
+        return tuple(sum(p * cls.coeffs[i] for i, p in row) for row in q.space.sparse_rows)
 
     rows = [functional(base), functional(q.omega)]
     if is_exact(*base.coeffs, *q.omega.coeffs):

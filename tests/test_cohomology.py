@@ -1,6 +1,7 @@
 """Intersection-space models, the constant-form isomorphism, signatures
 and indefinite Gram-Schmidt."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -8,8 +9,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from branekit import period_domain
 from branekit.cohomology import (
     CohClass,
+    IntersectionSpace,
     class_of_constant_form,
     constant_form_of_class,
     indefinite_gram_schmidt,
@@ -35,6 +38,33 @@ E = standard_basis(K3)
 
 ints = st.integers(min_value=-4, max_value=4)
 form2s = st.builds(lambda *c: Form2.from_coeffs(c), *([ints] * 6))
+
+# symmetric, rows with several nonzero entries, an entry other than +-1
+CUSTOM = IntersectionSpace(
+    "custom", 4, ((0, 1, 0, 0), (1, 0, 2, 0), (0, 2, -1, 3), (0, 0, 3, 0))
+)
+
+
+def dense_pair(x: CohClass, y: CohClass):
+    """The dense triple loop over the whole pairing matrix: the oracle."""
+    p = x.space.pairing
+    return sum(
+        xi * sum(p[i][j] * y.coeffs[j] for j in range(len(y.coeffs)))
+        for i, xi in enumerate(x.coeffs)
+    )
+
+
+def _classes(space, scalars):
+    vec = st.lists(scalars, min_size=space.dim, max_size=space.dim)
+    return st.tuples(vec, vec).map(
+        lambda xy: (CohClass(space, tuple(xy[0])), CohClass(space, tuple(xy[1])))
+    )
+
+
+fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+exact_scalars = st.one_of(st.integers(min_value=-50, max_value=50), fractions)
+finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+spaces = st.sampled_from([SPACE, K3, CUSTOM])
 
 
 class TestSpaces:
@@ -166,3 +196,68 @@ class TestNullspace:
         rows = [(1, 2, 0), (2, 4, 0)]
         basis = nullspace_exact(rows, 3)
         assert len(basis) == 2
+
+
+class TestSparsePairing:
+    @given(spaces.flatmap(lambda sp: _classes(sp, exact_scalars)))
+    def test_exact_inputs_match_dense_oracle_exactly(self, xy):
+        x, y = xy
+        value = x.pair(y)
+        assert value == dense_pair(x, y)
+        assert isinstance(value, (int, Fraction))
+
+    @given(st.sampled_from([SPACE, K3]).flatmap(lambda sp: _classes(sp, finite_floats)))
+    def test_floats_bit_equal_on_bundled_spaces(self, xy):
+        x, y = xy
+        assert repr(x.pair(y)) == repr(dense_pair(x, y))
+
+    @given(_classes(CUSTOM, finite_floats))
+    def test_floats_close_on_non_diagonal_space(self, xy):
+        x, y = xy
+        scale = sum(
+            abs(xi * p * y.coeffs[j])
+            for xi, row in zip(x.coeffs, CUSTOM.pairing)
+            for j, p in enumerate(row)
+        )
+        assert abs(x.pair(y) - dense_pair(x, y)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("space", [SPACE, K3, CUSTOM], ids=lambda sp: sp.name)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficient_gives_non_finite_pair(self, space, bad):
+        rng = np.random.default_rng(5)
+        for k in range(space.dim):
+            finite = CohClass(space, tuple(float(v) for v in rng.normal(size=space.dim)))
+            coeffs = list(finite.coeffs)
+            coeffs[k] = bad
+            broken = CohClass(space, tuple(coeffs))
+            assert not math.isfinite(broken.pair(finite))
+            assert not math.isfinite(finite.pair(broken))
+            assert not math.isfinite(broken.pair(broken))
+
+    def test_sparse_rows_hold_the_nonzero_entries(self):
+        assert SPACE.sparse_rows == (
+            ((1, 1),), ((0, 1),), ((3, 1),), ((2, 1),), ((5, 1),), ((4, 1),)
+        )
+        assert K3.sparse_rows == tuple(((i, 1 if i < 3 else -1),) for i in range(22))
+        assert CUSTOM.sparse_rows[2] == ((1, 2), (2, -1), (3, 3))
+
+    def test_rows_are_not_part_of_identity(self):
+        assert k3_space() == k3_space()
+        assert hash(k3_space()) == hash(k3_space())
+        assert len({k3_space(), k3_space(), torus_space()}) == 2
+        assert k3_space() != torus_space()
+        assert "sparse_rows" not in repr(K3)
+        assert repr(k3_space()) == repr(K3)
+
+    def test_k3_chart_unchanged_under_dense_oracle(self, monkeypatch):
+        # the boosted classes of the K3 golden report; an axis-aligned pair
+        # would not exercise the projections
+        omega = CohClass(K3, (1, 2, 0, 0, 0, 2) + (0,) * 16)
+        base = CohClass(K3, (-2, -1, 0, 0, 0, -2) + (0,) * 16)
+        q = period_domain.QuadricSpec(K3, omega)
+        sparse = period_domain.build_chart(q, base)
+        monkeypatch.setattr(CohClass, "pair", dense_pair)
+        dense = period_domain.build_chart(q, base)
+        for a, b in [(sparse.b, dense.b), *zip(sparse.neg, dense.neg)]:
+            assert [repr(v) for v in a.coeffs] == [repr(v) for v in b.coeffs]
+        assert len(sparse.neg) == len(dense.neg) == 19

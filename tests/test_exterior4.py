@@ -2,6 +2,7 @@
 construction, type projectors, complex kernels."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,9 @@ from branekit.exterior4 import (
     is_almost_complex,
     kernel_of_complex_2form,
     matrix_of_form2,
+    max_abs,
     pullback_form2,
+    square_resid,
     type_projectors,
     wedge,
     wedge22,
@@ -182,6 +185,31 @@ class TestIsAlmostComplex:
 
     def test_degenerate_candidate_is_not(self):
         assert not is_almost_complex(compose_i(W0, Form2(c12=1)))
+
+    def test_nan_entry_is_not(self):
+        # the NaN sits past the first entries of i@i + Id, which are 0
+        rows = [list(r) for r in J_BLOCK]
+        rows[3][3] = float("nan")
+        j = LinearMap4.from_rows(rows)
+        assert math.isnan(square_resid(j))
+        assert not is_almost_complex(j)
+
+
+class TestMaxAbs:
+    @pytest.mark.parametrize("k", range(4))
+    def test_nan_anywhere_propagates(self, k):
+        values = [1.0, -3.0, 2.0, 0.5]
+        values[k] = float("nan")
+        assert math.isnan(max_abs(values))
+        assert math.isnan(Form2.from_coeffs([0, 0] + values).max_abs())
+        assert math.isnan(LinearMap4.from_rows([values] * 4).max_abs())
+
+    def test_matches_builtin_max_and_keeps_exact_type(self):
+        values = (Fraction(-7, 2), 3, Fraction(1, 3))
+        assert max_abs(values) == Fraction(7, 2)
+        assert isinstance(max_abs(values), Fraction)
+        assert max_abs([0, 0.0]) == 0 and isinstance(max_abs([0, 0.0]), int)
+        assert max_abs(iter([-1.5, 1.5, -2.5])) == 2.5
 
 
 class TestTypeProjectors:

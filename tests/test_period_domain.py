@@ -24,6 +24,7 @@ from branekit.errors import (
 )
 from branekit.period_domain import (
     QuadricSpec,
+    _standard_candidates,
     affine_normal_form,
     build_chart,
     chart_point,
@@ -115,6 +116,24 @@ class TestChart:
             vectors = [chart2.base, chart2.b, *chart2.neg]
             gram = np.array([[float(u.pair(v)) for v in vectors] for u in vectors])
             assert np.abs(gram - np.diag([2.0, 2.0, -2.0, -2.0, -2.0])).max() <= 1e-9
+
+
+def _eager_candidates(space):
+    singles = list(standard_basis(space))
+    pairs = [(i, j) for i in range(space.dim) for j in range(i + 1, space.dim)]
+    return (
+        singles
+        + [singles[i] + singles[j] for i, j in pairs]
+        + [singles[i] - singles[j] for i, j in pairs]
+    )
+
+
+class TestCandidates:
+    @pytest.mark.parametrize("space", [SPACE, K3], ids=lambda sp: sp.name)
+    def test_lazy_order_matches_eager_list(self, space):
+        lazy = _standard_candidates(space)
+        assert next(lazy) == standard_basis(space)[0]  # an iterator, not a list
+        assert [standard_basis(space)[0], *lazy] == _eager_candidates(space)
 
 
 class TestChartPoint:
@@ -341,6 +360,11 @@ class TestScalar:
         with pytest.raises(TargetOutsideSpan):
             scalar_with_imaginary_part(F0C, W0C, B[0])
 
+    def test_nan_target_rejected(self):
+        target = CohClass(SPACE, (0, math.nan, 0, 0, 1, 1))
+        with pytest.raises(TargetOutsideSpan):
+            scalar_with_imaginary_part(F0C, W0C, target)
+
 
 class TestHodgeSplitting:
     def test_torus_splitting(self):
@@ -372,6 +396,15 @@ class TestHodgeSplitting:
     def test_base_must_be_on_quadric(self):
         with pytest.raises(NotInQuadric):
             hodge_splitting(Q, W0C)
+
+    def test_boosted_k3_splitting_is_exact(self):
+        omega = CohClass(K3, (1, 2, 0, 0, 0, 2) + (0,) * 16)
+        base = CohClass(K3, (-2, -1, 0, 0, 0, -2) + (0,) * 16)
+        _, h11 = hodge_splitting(QuadricSpec(K3, omega), base)
+        assert len(h11) == 20
+        for h in h11:
+            assert all(isinstance(v, Fraction) for v in h.coeffs)
+            assert h.pair(base) == 0 and h.pair(omega) == 0
 
 
 class TestReconstruct:
