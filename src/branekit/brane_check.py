@@ -30,19 +30,17 @@ from .exterior4 import (
     is_almost_complex,
     is_exact,
     matrix_of_form2,
+    max_abs,
     square_resid,
     wedge,
-    wedge22,
 )
 from .torus_forms import (
-    TrigPolyForm2,
-    as_trig,
     check_omega,
     exterior_d,
+    fiber_blocks,
     i_basis,
     i_field,
     i_square_resid,
-    uniform_grid,
 )
 
 
@@ -76,9 +74,32 @@ class HolSympReport:
     tol: float
 
 
-def _closedness_resid(f: TrigPolyForm2):
-    df = exterior_d(f)
-    return df.coefficient_norm()
+def _closedness_resid(f):
+    """Exact coefficient norm of dF; a constant Form2 is closed."""
+    return 0 if isinstance(f, Form2) else exterior_d(f).coefficient_norm()
+
+
+def _peak(x):
+    """max |x| over a block: a float on the grid, of x's type at one fiber."""
+    return float(np.abs(x).max()) if isinstance(x, np.ndarray) else abs(x)
+
+
+def _low(x):
+    """min x over a block, typed as in :func:`_peak`."""
+    return float(x.min()) if isinstance(x, np.ndarray) else x
+
+
+def _least(values):
+    """The smallest value; a NaN anywhere sorts first, so it gives NaN."""
+    return min(values, key=lambda v: (v == v, v))
+
+
+def _i_square_peak(omega, rows, tol):
+    """max |I^2 + Id| over a block of F's rows: by the I-field on the grid,
+    exactly at one fiber; NonDegenerateRequired when pf(omega)^2 <= tol."""
+    if isinstance(rows, np.ndarray):
+        return i_square_resid(i_field(i_basis(omega, tol), rows.T))
+    return square_resid(compose_i(omega, Form2.from_coeffs(rows), tol))
 
 
 def verify_brane(omega: Form2, f, grid: int = 8, tol: float = 1e-9) -> BraneReport:
@@ -87,33 +108,22 @@ def verify_brane(omega: Form2, f, grid: int = 8, tol: float = 1e-9) -> BraneRepo
     omega must be a constant non-degenerate 2-form; f may be constant or a
     trig-poly 2-form.  Constant inputs are checked exactly at a single
     fiber; non-constant ones on a uniform grid with ``grid`` points per
-    axis.
+    axis (see :func:`fiber_blocks`).
     """
     check_omega(omega, tol)
-    f = as_trig(f)
-    target = wedge22(omega, omega).v
-
-    if f.is_constant:
-        fc = f.constant_part()
-        w_ff = wedge22(fc, fc).v
-        r_sq = abs(w_ff - target)
-        r_orth = abs(wedge22(fc, omega).v)
-        r_closed = 0
-        r_i = square_resid(compose_i(omega, fc, tol=min(tol, 1e-12)))
-        orientation_ok = w_ff > 0
-        grid_used = 1
-    else:
-        pts = uniform_grid(grid)
-        coeff = f.eval_grid(pts)
-        w_ff = wedge(coeff.T, coeff.T)
-        w_fo = wedge(coeff.T, [float(v) for v in omega.coeffs])
-        r_sq = float(np.abs(w_ff - float(target)).max())
-        r_orth = float(np.abs(w_fo).max())
-        r_closed = float(_closedness_resid(f))
-        r_i = i_square_resid(i_field(i_basis(omega), coeff))
-        orientation_ok = bool(w_ff.min() > 0)
-        grid_used = len(pts)
-
+    sq, orth, i_sq, low, grid_used = [], [], [], [], 0
+    for fc, oc in fiber_blocks(grid, f, omega):
+        w_ff = wedge(fc, fc)
+        sq.append(_peak(w_ff - wedge(oc, oc)))
+        orth.append(_peak(wedge(fc, oc)))
+        i_sq.append(_i_square_peak(omega, fc, min(tol, 1e-12)))
+        low.append(_low(w_ff))
+        grid_used += np.size(w_ff)
+    r_sq, r_orth, r_i = max_abs(sq), max_abs(orth), max_abs(i_sq)
+    r_closed = _closedness_resid(f)
+    if isinstance(w_ff, np.ndarray):  # the grid path reports floats
+        r_closed = float(r_closed)
+    orientation_ok = bool(_least(low) > 0)
     passed = (
         r_sq <= tol and r_orth <= tol and r_closed <= tol and r_i <= tol and orientation_ok
     )
@@ -129,28 +139,15 @@ def verify_holomorphic_symplectic(
     part is re^re - im^im and imaginary part 2 re^im; positivity asks
     (re+i im)^(conjugate) = re^re + im^im to exceed tol everywhere.
     """
-    re, im = as_trig(re), as_trig(im)
-    if re.is_constant and im.is_constant:
-        rc, ic = re.constant_part(), im.constant_part()
-        w_rr = wedge22(rc, rc).v
-        w_ii = wedge22(ic, ic).v
-        w_ri = wedge22(rc, ic).v
-        square_resid = max(abs(w_rr - w_ii), abs(2 * w_ri))
-        positivity_min = w_rr + w_ii
-        grid_used = 1
-    else:
-        pts = uniform_grid(grid)
-        rc = re.eval_grid(pts).T
-        ic = im.eval_grid(pts).T
-        w_rr = wedge(rc, rc)
-        w_ii = wedge(ic, ic)
-        w_ri = wedge(rc, ic)
-        square_resid = float(
-            np.maximum(np.abs(w_rr - w_ii), np.abs(2 * w_ri)).max()
-        )
-        positivity_min = float((w_rr + w_ii).min())
-        grid_used = len(pts)
-    closed_resid = max(_closedness_resid(re), _closedness_resid(im))
+    sq, low, grid_used = [], [], 0
+    for rc, ic in fiber_blocks(grid, re, im):
+        w_rr, w_ii, w_ri = wedge(rc, rc), wedge(ic, ic), wedge(rc, ic)
+        sq += [_peak(w_rr - w_ii), _peak(2 * w_ri)]
+        positivity = w_rr + w_ii
+        low.append(_low(positivity))
+        grid_used += np.size(positivity)
+    square_resid, positivity_min = max_abs(sq), _least(low)
+    closed_resid = max_abs([_closedness_resid(re), _closedness_resid(im)])
     passed = square_resid <= tol and closed_resid <= tol and positivity_min > tol
     return HolSympReport(positivity_min, square_resid, closed_resid, passed, grid_used, tol)
 
@@ -177,10 +174,8 @@ def brane_of_complex_structure(omega: Form2, i: LinearMap4, tol: float = 1e-9) -
         raise NotAlmostComplex("I^2 != -Id")
     b_omega = LinearMap4.from_rows(matrix_of_form2(omega))
     b_f = (i.transpose() @ b_omega).m
-    sym = max(
-        abs(b_f[a][b] + b_f[b][a]) for a in range(4) for b in range(4)
-    )
-    if sym > tol:
+    sym = max_abs(b_f[a][b] + b_f[b][a] for a in range(4) for b in range(4))
+    if not sym <= tol:
         raise NotSkew(f"omega o I has symmetric part {sym}")
     return form2_of_matrix(b_f)
 
@@ -194,21 +189,11 @@ def deformation_residuals(omega: Form2, f, alpha, grid: int = 8, tol: float = 1e
       r_closed = coefficient norm of d(alpha);
     all three vanish exactly when F + alpha is again a brane for omega.
     """
-    f, alpha = as_trig(f), as_trig(alpha)
-    if f.is_constant and alpha.is_constant:
-        fc, ac = f.constant_part(), alpha.constant_part()
-        h = half(is_exact(*ac.coeffs))
-        r_quad = abs(wedge22(fc, ac).v + h * wedge22(ac, ac).v)
-        r_orth = abs(wedge22(omega, ac).v)
-    else:
-        pts = uniform_grid(grid)
-        fc = f.eval_grid(pts).T
-        ac = alpha.eval_grid(pts).T
-        oc = [float(v) for v in omega.coeffs]
-        r_quad = float(np.abs(wedge(fc, ac) + 0.5 * wedge(ac, ac)).max())
-        r_orth = float(np.abs(wedge(ac, oc)).max())
-    r_closed = _closedness_resid(alpha)
-    return r_quad, r_orth, r_closed
+    quad, orth = [], []
+    for fc, ac, oc in fiber_blocks(grid, f, alpha, omega):
+        quad.append(_peak(wedge(fc, ac) + half(is_exact(*ac)) * wedge(ac, ac)))
+        orth.append(_peak(wedge(ac, oc)))
+    return max_abs(quad), max_abs(orth), _closedness_resid(alpha)
 
 
 def linearized_deformation_check(
@@ -222,26 +207,16 @@ def linearized_deformation_check(
         ((alpha^F) F + (alpha^omega) omega) / (omega^omega),
 
     which vanishes exactly when alpha wedges to zero against F and omega.
-    Its largest coefficient over the grid, computed in one batch (exactly
+    Its largest coefficient over the grid, computed block by block (exactly
     at one fiber when F and alpha are constant), is compared with tol.
     """
-    f, alpha = as_trig(f), as_trig(alpha)
     if _closedness_resid(alpha) > tol:
         return False
-    # compose_i raises NonDegenerateRequired for a degenerate omega, whatever F is
-    i_const = compose_i(omega, f.constant_part())
-    if f.is_constant and alpha.is_constant:
-        fc, ac, oc = f.constant_part().coeffs, alpha.constant_part().coeffs, omega.coeffs
-    else:
-        pts = uniform_grid(grid)
-        fc, ac = f.eval_grid(pts).T, alpha.eval_grid(pts).T
-        oc = [float(v) for v in omega.coeffs]
-    if f.is_constant:
-        resid = square_resid(i_const)
-    else:
-        resid = i_square_resid(i_field(i_basis(omega), fc.T))
-    if not resid <= max(tol, 1e-9):
-        raise NotAlmostComplex("type projection needs I*I = -Id")
-    w_f, w_o, vol = wedge(ac, fc), wedge(ac, oc), wedge(oc, oc)
-    p2002 = np.array([exact_div(w_f * x + w_o * y, vol) for x, y in zip(fc, oc)])
-    return bool(np.abs(p2002).max() <= tol)  # a NaN never passes
+    peaks = []
+    for fc, ac, oc in fiber_blocks(grid, f, alpha, omega):
+        # raises NonDegenerateRequired for a degenerate omega, whatever F is
+        if not _i_square_peak(omega, fc, 1e-12) <= max(tol, 1e-9):
+            raise NotAlmostComplex("type projection needs I*I = -Id")
+        w_f, w_o, vol = wedge(ac, fc), wedge(ac, oc), wedge(oc, oc)
+        peaks += [_peak(exact_div(w_f * x + w_o * y, vol)) for x, y in zip(fc, oc)]
+    return bool(max_abs(peaks) <= tol)  # a NaN never passes

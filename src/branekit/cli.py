@@ -69,6 +69,7 @@ from .period_domain import (
 from .torus_forms import (
     TrigPolyFn,
     TrigPolyForm2,
+    constant_coeffs,
     integrability_identity_residual,
     nijenhuis_defect,
 )
@@ -138,11 +139,9 @@ def _parse_form(doc, path):
 
 
 def _parse_constant_form(doc, path):
-    form = _parse_form(doc, path)
-    if isinstance(form, TrigPolyForm2):
-        _require(form.is_constant, f"{path}: a constant2 form is required here")
-        form = form.constant_part()
-    return form
+    coeffs = constant_coeffs(_parse_form(doc, path))
+    _require(coeffs is not None, f"{path}: a constant2 form is required here")
+    return Form2.from_coeffs(coeffs)
 
 
 def _parse_class(doc, path, space):
@@ -539,10 +538,14 @@ def _validate_options(args):
             raise SchemaError(f"--{name} must be {rule}, got {value!r}")
 
 
+#: one per process: parsing never changes it, and a dropped parser is garbage
+#: in reference cycles that only the cyclic collector frees
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -10,7 +10,9 @@ Conventions, fixed once and relied on by every downstream module:
   2-form sends v to i_v s;
 * ``compose_i(omega, f)`` returns the unique linear map I with
   omega(I u, .) = f(u, .), i.e. I = omega^{-1} o f under the convention
-  above.
+  above;
+* B_omega^{-1} is the closed form -B_{*omega} / pf(omega) of
+  :func:`inverse_times`, the only inverse of omega in the package.
 
 All formulas are plain arithmetic on the stored scalars, so every
 operation works identically over floats and over exact ``int`` /
@@ -206,53 +208,35 @@ def interior(v, s: Form2) -> Form1:
     return Form1(tuple(sum(v[a] * b[a][j] for a in range(4)) for j in range(4)))
 
 
-def _solve4(a_rows, rhs_rows, tol):
-    """Solve A X = R by Gaussian elimination with partial pivoting.
+def inverse_times(omega: Form2, b, tol: float = 1e-12):
+    """B_omega^{-1} b for a 4x4 matrix b (rows), by the closed form
 
-    Works over floats and exact rationals alike; raises
-    NonDegenerateRequired when a pivot falls below ``tol`` (floats) or
-    vanishes (exact scalars).
-    """
-    exact = is_exact(
-        *(e for row in a_rows for e in row), *(e for row in rhs_rows for e in row)
-    )
-    if exact:
-        a = [[Fraction(e) for e in row] for row in a_rows]
-        r = [[Fraction(e) for e in row] for row in rhs_rows]
-    else:
-        a = [[float(e) for e in row] for row in a_rows]
-        r = [[float(e) for e in row] for row in rhs_rows]
-    n = 4
-    for col in range(n):
-        piv = max(range(col, n), key=lambda i: abs(a[i][col]))
-        if (exact and a[piv][col] == 0) or (not exact and abs(a[piv][col]) <= tol):
-            raise NonDegenerateRequired("singular 2-form matrix")
-        a[col], a[piv] = a[piv], a[col]
-        r[col], r[piv] = r[piv], r[col]
-        inv = a[col][col]
-        for i in range(n):
-            if i == col:
-                continue
-            factor = a[i][col] / inv
-            if factor == 0:
-                continue
-            a[i] = [ai - factor * ac for ai, ac in zip(a[i], a[col])]
-            r[i] = [ri - factor * rc for ri, rc in zip(r[i], r[col])]
-    return [[r[i][j] / a[i][i] for j in range(n)] for i in range(n)]
+        B_omega^{-1} = -B_{*omega} / pf(omega),
+        *omega = (c34, -c24, c23, c14, -c13, c12),
 
-
-def compose_i(omega: Form2, f: Form2, tol: float = 1e-12) -> LinearMap4:
-    """The unique map I with omega(I u, v) = f(u, v) for all u, v.
-
-    Requires omega non-degenerate (pfaffian bounded away from zero).
-    Exact over rational inputs.
+    which holds because B_omega B_{*omega} = -pf(omega) Id for every 2-form.
+    Exact over exact inputs.  Raises NonDegenerateRequired when pf(omega)
+    is exactly zero or pf^2 <= tol.
     """
     pf = pfaffian(omega)
     if (is_exact(pf) and pf == 0) or abs(pf * pf) <= tol:
         raise NonDegenerateRequired("omega is degenerate (pfaffian^2 <= tol)")
-    b_omega = matrix_of_form2(omega)
-    b_f = matrix_of_form2(f)
-    return LinearMap4.from_rows(_solve4(b_omega, b_f, tol))
+    c12, c13, c14, c23, c24, c34 = omega.coeffs
+    star = matrix_of_form2(Form2(c34, -c24, c23, c14, -c13, c12))
+    return tuple(
+        tuple(
+            exact_div(-(s[0] * b[0][j] + s[1] * b[1][j] + s[2] * b[2][j] + s[3] * b[3][j]), pf)
+            for j in range(4)
+        )
+        for s in star
+    )
+
+
+def compose_i(omega: Form2, f: Form2, tol: float = 1e-12) -> LinearMap4:
+    """The unique map I = B_omega^{-1} B_f with omega(I u, v) = f(u, v) for
+    all u, v (see :func:`inverse_times`).  Exact over rational inputs.
+    """
+    return LinearMap4.from_rows(inverse_times(omega, matrix_of_form2(f), tol))
 
 
 def square_resid(i: LinearMap4):

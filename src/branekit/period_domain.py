@@ -16,7 +16,7 @@ compared against it.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -75,7 +75,8 @@ class QuadricChart:
     """Adapted orthogonal basis (base, b, neg...) for the quadric.
 
     Gram matrix is diag(s, s, -s, ..., -s) with s = omega^2, and every
-    member is orthogonal to the omega class.
+    member is orthogonal to the omega class.  The float arrays ``vectors``
+    (base, b, neg...) and ``pairing`` are derived once, outside eq and repr.
     """
 
     spec: QuadricSpec
@@ -83,6 +84,13 @@ class QuadricChart:
     b: CohClass
     neg: tuple
     omega_sq: object
+    vectors: np.ndarray = field(init=False, repr=False, compare=False)
+    pairing: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        rows = np.stack([c.array() for c in (self.base, self.b) + tuple(self.neg)])
+        object.__setattr__(self, "vectors", rows)
+        object.__setattr__(self, "pairing", np.array(self.spec.space.pairing, dtype=float))
 
     @property
     def dim(self) -> int:
@@ -238,9 +246,7 @@ def metric_at(chart: QuadricChart, theta: float, ybar) -> MetricSample:
     root = math.sqrt(m)
     cos_t, sin_t = math.cos(theta), math.sin(theta)
 
-    base_a = chart.base.array()
-    b_a = chart.b.array()
-    neg_a = np.stack([n.array() for n in chart.neg]) if k else np.zeros((0, len(base_a)))
+    base_a, b_a, neg_a = chart.vectors[0], chart.vectors[1], chart.vectors[2:]
 
     # exact parameter derivatives of the chart map
     tangents = np.empty((1 + k, len(base_a)))
@@ -248,8 +254,7 @@ def metric_at(chart: QuadricChart, theta: float, ybar) -> MetricSample:
     for i in range(k):
         tangents[1 + i] = (ybar[i] / root) * (cos_t * base_a + sin_t * b_a) + neg_a[i]
 
-    pairing = np.array(chart.spec.space.pairing, dtype=float)
-    g = tangents @ pairing @ tangents.T
+    g = tangents @ chart.pairing @ tangents.T
     g = 0.5 * (g + g.T)
 
     s = float(chart.omega_sq)

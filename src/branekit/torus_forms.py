@@ -8,6 +8,9 @@ multiplication and partial derivatives, so exterior derivatives are exact
 canonical form: one entry per k, the first nonzero component of k positive,
 and no sine term on k = 0.
 
+:func:`fiber_blocks` samples forms for every check: one exact fiber when all
+are constant, else the uniform grid in blocks of fixed size.
+
 The module also hosts the integrability diagnostics, both built on one
 I-field kernel (I = omega^{-1} o F is linear in F's coefficients, see
 :func:`i_basis`) and one Nijenhuis formula:
@@ -34,8 +37,10 @@ from .exterior4 import (
     BIVECTOR_SLOTS,
     Form2,
     half,
+    inverse_times,
     is_exact,
     matrix_of_form2,
+    max_abs,
     pfaffian,
     wedge,
 )
@@ -180,13 +185,6 @@ class TrigPolyForm2:
     def from_constant(cls, f: Form2):
         return cls.from_fns(f.coeffs)
 
-    @property
-    def is_constant(self):
-        return all(fn.is_constant for fn in self.c)
-
-    def constant_part(self) -> Form2:
-        return Form2.from_coeffs(tuple(fn.constant_term for fn in self.c))
-
     def __add__(self, other):
         return TrigPolyForm2(tuple(a + b for a, b in zip(self.c, other.c)))
 
@@ -212,7 +210,7 @@ class TrigPolyForm3:
         return cls(tuple(_as_fn(f) for f in fns))
 
     def coefficient_norm(self):
-        return max(fn.coefficient_norm() for fn in self.c)
+        return max_abs(fn.coefficient_norm() for fn in self.c)
 
     def eval_grid(self, pts):
         return np.stack([fn.eval_grid(pts) for fn in self.c], axis=1)
@@ -307,22 +305,58 @@ def check_omega(omega: Form2, tol):
         raise NonDegenerateRequired("omega is degenerate")
 
 
-#: grid points per block in nijenhuis_defect: the work arrays follow the
-#: block (about 8.5 MiB at 4096 points), not the grid^4 points of the grid
+#: grid points per block of :func:`fiber_blocks`: the work arrays follow the
+#: block (at most about 8.5 MiB at 4096 points), not the grid^4 points
 CHUNK_POINTS = 4096
 
 
-def i_basis(omega: Form2):
+def constant_coeffs(form):
+    """The exact coefficients of a constant form, None for a non-constant one."""
+    if isinstance(form, Form2):
+        return form.coeffs
+    if all(fn.is_constant for fn in form.c):
+        return tuple(fn.constant_term for fn in form.c)
+    return None
+
+
+def fiber_blocks(grid: int, *forms):
+    """Sample ``forms`` (Form2 or trig-poly forms) fiber by fiber.
+
+    When every form is constant, yields one block of their exact
+    coefficients.  Otherwise walks the grid of :func:`uniform_grid` in
+    blocks of CHUNK_POINTS points; per block a non-constant form gives its
+    float rows ``form.eval_grid(block).T`` and a constant form its float
+    coefficients, which broadcast exactly as their grid values would.
+    """
+    consts = [constant_coeffs(form) for form in forms]
+    if all(c is not None for c in consts):
+        yield tuple(consts)
+        return
+    if grid < 1:
+        raise ValueError(f"grid must be at least 1, got {grid}")
+    floats = [None if c is None else [float(v) for v in c] for c in consts]
+    pts = uniform_grid(grid)
+    for start in range(0, len(pts), CHUNK_POINTS):
+        block = pts[start:start + CHUNK_POINTS]
+        yield tuple(
+            form.eval_grid(block).T if c is None else c for form, c in zip(forms, floats)
+        )
+
+
+#: the matrices B_{e^ab} of the six basis bivectors, shape (6, 4, 4)
+_UNIT_BIVECTORS = np.array([matrix_of_form2(Form2.from_coeffs(row)) for row in np.eye(6)])
+
+
+def i_basis(omega: Form2, tol: float = 0.0):
     """omega^{-1} o e^{ab} for the six basis bivectors, as a (6, 16) array.
 
     I = omega^{-1} o F is linear in the six coefficients of F, so the
     I-field is the single contraction :func:`i_field` of F's coefficients
     with this basis, and the same contraction of the coefficients of d_m F
-    gives d_m I exactly.
+    gives d_m I exactly; raises NonDegenerateRequired when pf^2 <= tol.
     """
-    units = np.array([matrix_of_form2(Form2.from_coeffs(row)) for row in np.eye(6)])
-    b_omega = np.array(matrix_of_form2(omega), dtype=float)
-    return np.linalg.solve(b_omega, units).reshape(6, 16)
+    inverse = np.array(inverse_times(omega, np.eye(4).tolist(), tol))
+    return (inverse @ _UNIT_BIVECTORS).reshape(6, 16)
 
 
 def i_field(basis, coeff):
@@ -363,26 +397,24 @@ def nijenhuis_defect(omega: Form2, f, grid: int = 8, tol: float = 1e-9):
     finite-difference step is involved.  max |dF| evaluates the exact
     exterior derivative pointwise on the same grid.  Both vanish together:
     the structure is integrable exactly when F is closed.  The grid is
-    walked in blocks of CHUNK_POINTS points, so the per-point work arrays
-    keep a fixed size whatever the grid.
+    walked by :func:`fiber_blocks`, so the per-point work arrays keep a
+    fixed size whatever the grid (a constant F is checked at one fiber).
     """
     check_omega(omega, tol)
     f = as_trig(f)
     basis = i_basis(omega)
-    f_and_partials = [f] + [
-        TrigPolyForm2(tuple(fn.derivative(m) for fn in f.c)) for m in range(4)
-    ]
-    df = exterior_d(f)
-    df_nonzero = any(fn.modes for fn in df.c)
-    pts = uniform_grid(grid)
-    defects, dfs = [], [0.0]
-    for start in range(0, len(pts), CHUNK_POINTS):
-        block = pts[start:start + CHUNK_POINTS]
-        i_all = i_field(basis, np.stack([g.eval_grid(block) for g in f_and_partials]))
+    partials = [TrigPolyForm2(tuple(fn.derivative(m) for fn in f.c)) for m in range(4)]
+    defects, dfs = [], []
+    for rows in fiber_blocks(grid, f, *partials, exterior_d(f)):
+        dfs.append(np.abs(np.asarray(rows[5], dtype=float)).max())
+        # F and its partials at each point; a constant (zero) partial broadcasts
+        i_all = i_field(basis, np.stack(np.broadcast_arrays(
+            *(np.atleast_2d(np.asarray(r, dtype=float).T) for r in rows[:5])
+        )))
+        del rows  # freeing the samples, and the I-field below, early saves fresh pages
         _require_pointwise_complex(i_all[0], tol)
         defects.append(np.abs(_nijenhuis_tensor(i_all[0], i_all[1:])).max())
-        if df_nonzero:
-            dfs.append(np.abs(df.eval_grid(block)).max())
+        del i_all
     # np.max, unlike the builtin, keeps a NaN from any block
     return float(np.max(defects)), float(np.max(dfs))
 

@@ -2,11 +2,13 @@
 and the deformation equations."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from branekit import torus_forms
 from branekit.brane_check import (
     brane_of_complex_structure,
     deformation_residuals,
@@ -21,6 +23,7 @@ from branekit.exterior4 import Form2, LinearMap4, compose_i, type_projectors, we
 from branekit.period_domain import QuadricSpec, build_chart, chart_point
 from branekit.torus_forms import (
     TrigPolyFn,
+    TrigPolyForm1,
     TrigPolyForm2,
     eval_at,
     exterior_d,
@@ -271,3 +274,75 @@ class TestBraneCircle:
             theta = 2 * math.pi * j / 64
             f = math.cos(theta) * F0 + math.sin(theta) * KAPPA
             assert verify_brane(W0, f).passed
+
+
+def _bumped(form):
+    """(1 + sin x1) form: its residuals peak at x1 = pi/2, which on the grid
+    of 8 points per axis lies past the first 1000 points."""
+    bump = TrigPolyFn.constant(1) + TrigPolyFn.mode((1, 0, 0, 0), sin=1)
+    return bump * TrigPolyForm2.from_constant(form)
+
+
+def _closed_11(phi):
+    """d(I^* d phi) for I = omega^{-1} o F0: closed and of type (1,1)."""
+    i = compose_i(W0, F0).m
+    dphi = [phi.derivative(a) for a in range(4)]
+    return exterior_d(TrigPolyForm1.from_fns(
+        [sum((i[a][j] * dphi[a] for a in range(4)), TrigPolyFn.zero()) for j in range(4)]
+    ))
+
+
+class TestFiberWalk:
+    def test_reports_do_not_depend_on_chunk_size(self, monkeypatch):
+        phi = TrigPolyFn.mode((1, 0, 2, 0), cos=1) + TrigPolyFn.mode((0, 1, 0, 1), sin=2)
+        alpha_11 = _closed_11(phi)
+        # d(sin(x1) e^3) = cos(x1) e^13, whose (2,0)+(0,2) part is not zero
+        sin_x1 = TrigPolyFn.mode((1, 0, 0, 0), sin=1)
+        alpha_20 = exterior_d(TrigPolyForm1.from_fns([0, 0, sin_x1, 0]))
+        bumped = _bumped(F0)
+
+        def reports():
+            return (
+                verify_brane(W0, bumped),
+                verify_brane(W0, rotation_family((1, 0, 0, 0))),
+                verify_holomorphic_symplectic(bumped, W0),
+                verify_holomorphic_symplectic(W0, bumped),
+                deformation_residuals(W0, F0, _bumped(Form2(c12=1, c34=-1))),
+                deformation_residuals(W0, bumped, alpha_11),
+                linearized_deformation_check(W0, F0, alpha_11),
+                linearized_deformation_check(W0, F0, alpha_20),
+            )
+
+        whole = reports()
+        assert whole[-2:] == (True, False)
+        assert whole[0].wedge_square_resid > 1
+        monkeypatch.setattr(torus_forms, "CHUNK_POINTS", 1000)
+        assert reports() == whole
+
+    def test_nan_mode_reads_as_nan_closedness(self):
+        # d of the NaN mode has component norms [0, 0, nan, nan]: a NaN that
+        # is not the first entry
+        nan_mode = TrigPolyForm2.from_fns(
+            [0, 0, 0, 0, 0, TrigPolyFn.mode((1, 0, 0, 0), cos=float("nan"))]
+        )
+        f = TrigPolyForm2.from_constant(F0) + nan_mode
+        brane = verify_brane(W0, f)
+        hs = verify_holomorphic_symplectic(f, W0)
+        assert math.isnan(brane.closedness_resid) and not brane.passed
+        assert math.isnan(hs.closedness_resid) and not hs.passed
+
+    @pytest.mark.parametrize("check", [
+        lambda f: verify_brane(W0, f, grid=24),
+        lambda f: verify_holomorphic_symplectic(f, W0, grid=24),
+    ])
+    def test_peak_memory_is_bounded_at_grid_24(self, check):
+        rot = rotation_family((1, 0, 0, 0))
+        check(rotation_family((0, 1, 0, 0)))  # first-call allocations
+        tracemalloc.start()
+        try:
+            check(rot)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the points of the grid take 10.1 MiB, the blocks the rest
+        assert peak <= 16 * 2**20

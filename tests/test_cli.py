@@ -246,6 +246,19 @@ class TestOptionRanges:
         assert json.loads(out.read_text())["pass"] is True
 
 
+class TestParser:
+    def test_two_calls_build_the_parser_at_most_once(
+        self, monkeypatch, tmp_path, omega_file, f0_file
+    ):
+        built = []
+        build = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda: built.append(1) or build())
+        out = str(tmp_path / "report.json")
+        for _ in range(2):
+            assert main(["verify", omega_file, f0_file, "--no-timestamp", "--out", out]) == 0
+        assert len(built) <= 1
+
+
 class TestNonFinite:
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_coefficient_is_input_error(self, tmp_path, omega_file, value):

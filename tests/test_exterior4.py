@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from branekit.errors import DegenerateForm, NonDegenerateRequired, NotAlmostComplex
@@ -19,10 +19,12 @@ from branekit.exterior4 import (
     compose_i,
     form2_of_matrix,
     interior,
+    inverse_times,
     is_almost_complex,
     kernel_of_complex_2form,
     matrix_of_form2,
     max_abs,
+    pfaffian,
     pullback_form2,
     square_resid,
     type_projectors,
@@ -174,6 +176,20 @@ class TestComposeI:
                 lhs = interior(i.apply(u), omega).c
                 rhs = interior(u, f).c
                 assert max(abs(a - b) for a, b in zip(lhs, rhs)) <= 1e-12
+
+
+class TestInverseTimes:
+    @settings(max_examples=2000)
+    @given(form2s)
+    def test_closed_form_inverts_integer_omega_exactly(self, omega):
+        b_omega = matrix_of_form2(omega)
+        if pfaffian(omega) == 0:
+            with pytest.raises(NonDegenerateRequired):
+                inverse_times(omega, b_omega)
+            return
+        product = inverse_times(omega, b_omega)
+        assert product == tuple(tuple(int(a == b) for b in range(4)) for a in range(4))
+        assert all(isinstance(e, Fraction) for row in product for e in row)
 
 
 class TestIsAlmostComplex:

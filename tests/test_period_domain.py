@@ -182,6 +182,19 @@ class TestChartPoint:
 
 
 class TestMetric:
+    def test_chart_arrays_are_derived_once(self, monkeypatch):
+        chart = k3_chart()
+        assert chart == k3_chart() and hash(chart) == hash(k3_chart())
+        assert "vectors" not in repr(chart) and "array(" not in repr(chart)
+        expected = metric_at(chart, 0.7, (0.5,) + (0.0,) * 18)
+
+        def no_conversion(self):
+            raise AssertionError("metric_at converted a class")
+
+        monkeypatch.setattr(CohClass, "array", no_conversion)
+        sample = metric_at(chart, 0.7, (0.5,) + (0.0,) * 18)
+        assert np.array_equal(sample.g, expected.g)
+
     def test_flat_point(self):
         sample = metric_at(torus_chart(), 0.0, (0, 0, 0))
         assert np.abs(sample.g - np.diag([2.0, -2.0, -2.0, -2.0])).max() <= 1e-12

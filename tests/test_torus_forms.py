@@ -20,6 +20,7 @@ from branekit.torus_forms import (
     TrigPolyForm2,
     eval_at,
     exterior_d,
+    fiber_blocks,
     integrability_identity_residual,
     integrate,
     nijenhuis_defect,
@@ -204,6 +205,35 @@ class TestUniformGrid:
             tracemalloc.stop()
         # four full meshgrids stacked would peak at twice the output
         assert peak <= 1.25 * pts.nbytes
+
+
+class TestFiberBlocks:
+    def test_constant_forms_give_one_exact_block(self):
+        kappa = TrigPolyForm2.from_constant(KAPPA)
+        blocks = list(fiber_blocks(8, F0, kappa, W0))
+        assert blocks == [(F0.coeffs, KAPPA.coeffs, W0.coeffs)]
+        assert all(type(v) is int for block in blocks for form in block for v in form)
+
+    def test_constant_floats_equal_grid_values_bit_for_bit(self, monkeypatch):
+        monkeypatch.setattr(torus_forms, "CHUNK_POINTS", 1000)
+        rot = rotation_family((1, 2, 0, 0))
+        third_f0 = TrigPolyForm2.from_constant(Fraction(1, 3) * F0)
+        pts = uniform_grid(6)
+        start = 0
+        for rot_rows, const, omega in fiber_blocks(6, rot, third_f0, W0):
+            block = pts[start:start + 1000]
+            assert np.array_equal(rot_rows, rot.eval_grid(block).T)
+            for value, grid_values in zip(const, third_f0.eval_grid(block).T):
+                assert type(value) is float and np.all(grid_values == value)
+            assert omega == [float(v) for v in W0.coeffs]
+            start += len(block)
+        assert start == len(pts)
+
+    def test_empty_grid_is_refused(self):
+        rot = rotation_family((1, 0, 0, 0))
+        with pytest.raises(ValueError):
+            list(fiber_blocks(0, rot, W0))
+        assert list(fiber_blocks(0, F0, W0)) == [(F0.coeffs, W0.coeffs)]
 
 
 class TestRotationFamily:
