@@ -94,12 +94,22 @@ def _least(values):
     return min(values, key=lambda v: (v == v, v))
 
 
-def _i_square_peak(omega, rows, tol):
-    """max |I^2 + Id| over a block of F's rows: by the I-field on the grid,
-    exactly at one fiber; NonDegenerateRequired when pf(omega)^2 <= tol."""
-    if isinstance(rows, np.ndarray):
-        return i_square_resid(i_field(i_basis(omega, tol), rows.T))
-    return square_resid(compose_i(omega, Form2.from_coeffs(rows), tol))
+def _i_square_peak(omega, tol):
+    """max |I^2 + Id| over a block of F's rows, as a function of the block:
+    exactly by compose_i at one fiber, by the I-field on the grid, where the
+    first block builds the one i_basis of the call; NonDegenerateRequired
+    when pf(omega)^2 <= tol."""
+    basis = None
+
+    def peak(rows):
+        nonlocal basis
+        if not isinstance(rows, np.ndarray):
+            return square_resid(compose_i(omega, Form2.from_coeffs(rows), tol))
+        if basis is None:
+            basis = i_basis(omega, tol)
+        return i_square_resid(i_field(basis, rows.T))
+
+    return peak
 
 
 def verify_brane(omega: Form2, f, grid: int = 8, tol: float = 1e-9) -> BraneReport:
@@ -111,12 +121,13 @@ def verify_brane(omega: Form2, f, grid: int = 8, tol: float = 1e-9) -> BraneRepo
     axis (see :func:`fiber_blocks`).
     """
     check_omega(omega, tol)
+    i_square_peak = _i_square_peak(omega, min(tol, 1e-12))
     sq, orth, i_sq, low, grid_used = [], [], [], [], 0
     for fc, oc in fiber_blocks(grid, f, omega):
         w_ff = wedge(fc, fc)
         sq.append(_peak(w_ff - wedge(oc, oc)))
         orth.append(_peak(wedge(fc, oc)))
-        i_sq.append(_i_square_peak(omega, fc, min(tol, 1e-12)))
+        i_sq.append(i_square_peak(fc))
         low.append(_low(w_ff))
         grid_used += np.size(w_ff)
     r_sq, r_orth, r_i = max_abs(sq), max_abs(orth), max_abs(i_sq)
@@ -212,10 +223,10 @@ def linearized_deformation_check(
     """
     if _closedness_resid(alpha) > tol:
         return False
-    peaks = []
+    i_square_peak, peaks = _i_square_peak(omega, 1e-12), []
     for fc, ac, oc in fiber_blocks(grid, f, alpha, omega):
         # raises NonDegenerateRequired for a degenerate omega, whatever F is
-        if not _i_square_peak(omega, fc, 1e-12) <= max(tol, 1e-9):
+        if not i_square_peak(fc) <= max(tol, 1e-9):
             raise NotAlmostComplex("type projection needs I*I = -Id")
         w_f, w_o, vol = wedge(ac, fc), wedge(ac, oc), wedge(oc, oc)
         peaks += [_peak(exact_div(w_f * x + w_o * y, vol)) for x, y in zip(fc, oc)]

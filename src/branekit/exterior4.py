@@ -31,8 +31,18 @@ BIVECTOR_SLOTS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 
 
 def is_exact(*values):
-    """True when every value is an int or a Fraction, so arithmetic stays exact."""
-    return all(isinstance(v, (int, Fraction)) for v in values)
+    """True when every value is an int or a Fraction, so arithmetic stays exact.
+
+    int, Fraction and float are told by their type alone; only other types
+    pay ``isinstance``, whose Fraction test is an ABC check.
+    """
+    for v in values:
+        t = type(v)
+        if t is int or t is Fraction:
+            continue
+        if t is float or not isinstance(v, (int, Fraction)):
+            return False
+    return True
 
 
 def half(exact):

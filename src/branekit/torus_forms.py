@@ -9,7 +9,12 @@ canonical form: one entry per k, the first nonzero component of k positive,
 and no sine term on k = 0.
 
 :func:`fiber_blocks` samples forms for every check: one exact fiber when all
-are constant, else the uniform grid in blocks of fixed size.
+are constant, else the uniform grid in blocks of fixed size.  Every sample
+is a sum over the same few frequencies (d_m of a mode (k, a, b) is
+(k, b k_m, -a k_m), with the same phase <k, x>), so per block one cos/sin
+table of the forms' distinct frequencies gives all their coefficient rows
+by two matrix products; the table is built in slices of frequencies no
+longer than the rows, so its memory is bounded by the samples it yields.
 
 The module also hosts the integrability diagnostics, both built on one
 I-field kernel (I = omega^{-1} o F is linear in F's coefficients, see
@@ -319,13 +324,58 @@ def constant_coeffs(form):
     return None
 
 
+def _phase_tables(fns):
+    """The shared frequencies of ``fns`` as slices of at most len(fns) modes.
+
+    Returns a list of (k, ca, sb): k the (s, 4) frequency slice, and ca, sb
+    the (len(fns), s) cosine and sine coefficients of every function on it,
+    so each function's values are the sum over slices of
+    ca @ cos(k . x) + sb @ sin(k . x).
+    """
+    cols = {}
+    for fn in fns:
+        for k, _, _ in fn.modes:
+            cols.setdefault(k, len(cols))
+    ca = np.zeros((len(fns), len(cols)))
+    sb = np.zeros((len(fns), len(cols)))
+    for r, fn in enumerate(fns):
+        for k, a, b in fn.modes:
+            ca[r, cols[k]], sb[r, cols[k]] = float(a), float(b)
+    freqs = np.array(list(cols), dtype=float)
+    step = len(fns)
+    return [
+        (freqs[j:j + step], ca[:, j:j + step], sb[:, j:j + step])
+        for j in range(0, len(cols), step)
+    ]
+
+
+def _sample_block(block, tables, slots):
+    """The values at an (n, 4) block of every function of :func:`_phase_tables`,
+    computed as one C-contiguous (len(fns), n) array: each ``slice`` of
+    ``slots`` becomes that form's rows, any other slot is passed through."""
+    # 0.0 + (cos part + sin part) with block @ k per frequency are eval_grid's
+    # own operations, so a function of one mode gets its values bit for bit
+    rows = 0.0
+    for freqs, ca, sb in tables:
+        phase = np.stack([block @ k for k in freqs])
+        part = ca @ np.cos(phase)
+        part += sb @ np.sin(phase, out=phase)
+        part += rows  # in place: no second array of rows
+        rows = part
+    return tuple(rows[s] if isinstance(s, slice) else s for s in slots)
+
+
 def fiber_blocks(grid: int, *forms):
     """Sample ``forms`` (Form2 or trig-poly forms) fiber by fiber.
 
     When every form is constant, yields one block of their exact
     coefficients.  Otherwise walks the grid of :func:`uniform_grid` in
-    blocks of CHUNK_POINTS points; per block a non-constant form gives its
-    float rows ``form.eval_grid(block).T`` and a constant form its float
+    blocks of CHUNK_POINTS points.  The distinct frequencies of all the
+    non-constant forms are collected once per call; per block one cos/sin
+    table of them gives every coefficient row at once, and each non-constant
+    form gets its (rows, n) slice of that C-contiguous array.  The frequency
+    axis is walked in slices no longer than the rows, so the table never
+    outgrows the rows it produces.  A constant form gives its float
     coefficients, which broadcast exactly as their grid values would.
     """
     consts = [constant_coeffs(form) for form in forms]
@@ -334,13 +384,18 @@ def fiber_blocks(grid: int, *forms):
         return
     if grid < 1:
         raise ValueError(f"grid must be at least 1, got {grid}")
-    floats = [None if c is None else [float(v) for v in c] for c in consts]
+    fns, slots = [], []
+    for form, c in zip(forms, consts):
+        if c is None:
+            slots.append(slice(len(fns), len(fns) + len(form.c)))
+            fns += form.c
+        else:
+            slots.append([float(v) for v in c])
+    tables = _phase_tables(fns)
     pts = uniform_grid(grid)
     for start in range(0, len(pts), CHUNK_POINTS):
-        block = pts[start:start + CHUNK_POINTS]
-        yield tuple(
-            form.eval_grid(block).T if c is None else c for form, c in zip(forms, floats)
-        )
+        # no local keeps the samples, so a caller's del frees them
+        yield _sample_block(pts[start:start + CHUNK_POINTS], tables, slots)
 
 
 #: the matrices B_{e^ab} of the six basis bivectors, shape (6, 4, 4)

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from branekit import torus_forms
+from branekit import brane_check, torus_forms
 from branekit.brane_check import (
     brane_of_complex_structure,
     deformation_residuals,
@@ -318,6 +318,26 @@ class TestFiberWalk:
         assert whole[0].wedge_square_resid > 1
         monkeypatch.setattr(torus_forms, "CHUNK_POINTS", 1000)
         assert reports() == whole
+
+    def test_i_basis_is_built_once_per_gridded_call(self, monkeypatch):
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return torus_forms.i_basis(*args)
+
+        monkeypatch.setattr(brane_check, "i_basis", counted)
+        monkeypatch.setattr(torus_forms, "CHUNK_POINTS", 1000)
+        rot = rotation_family((1, 0, 0, 0))
+        alpha = _closed_11(TrigPolyFn.mode((1, 0, 2, 0), cos=1))
+        verify_brane(W0, rot)  # 5 blocks
+        linearized_deformation_check(W0, rot, alpha)
+        assert len(built) == 2
+        # one fiber: exact compose_i, no basis
+        built.clear()
+        assert verify_brane(W0, F0).i_square_resid == 0
+        assert linearized_deformation_check(W0, F0, TrigPolyForm2.from_constant(KAPPA))
+        assert built == []
 
     def test_nan_mode_reads_as_nan_closedness(self):
         # d of the NaN mode has component norms [0, 0, nan, nan]: a NaN that

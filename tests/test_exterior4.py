@@ -17,10 +17,12 @@ from branekit.exterior4 import (
     Form2,
     LinearMap4,
     compose_i,
+    exact_div,
     form2_of_matrix,
     interior,
     inverse_times,
     is_almost_complex,
+    is_exact,
     kernel_of_complex_2form,
     matrix_of_form2,
     max_abs,
@@ -226,6 +228,23 @@ class TestMaxAbs:
         assert isinstance(max_abs(values), Fraction)
         assert max_abs([0, 0.0]) == 0 and isinstance(max_abs([0, 0.0]), int)
         assert max_abs(iter([-1.5, 1.5, -2.5])) == 2.5
+
+
+SCALARS = (
+    3, True, Fraction(2, 3), 1.5, np.float64(2.0), np.int64(4), 1 + 2j, np.array(2.0),
+)
+
+
+class TestIsExact:
+    @pytest.mark.parametrize("value", SCALARS, ids=lambda v: type(v).__name__)
+    def test_agrees_with_isinstance(self, value):
+        assert is_exact(value) is isinstance(value, (int, Fraction))
+
+    def test_every_value_must_be_exact(self):
+        for values in itertools.product(SCALARS, repeat=2):
+            assert is_exact(*values) is all(isinstance(v, (int, Fraction)) for v in values)
+        assert is_exact()
+        assert exact_div(1, 3) == Fraction(1, 3) and exact_div(1.0, 4) == 0.25
 
 
 class TestTypeProjectors:

@@ -1,13 +1,14 @@
 """Trig-poly forms: exact calculus, integration, and the integrability
 diagnostics with their finite-difference cross-checks."""
 
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from branekit import torus_forms
@@ -18,6 +19,7 @@ from branekit.torus_forms import (
     TrigPolyFn,
     TrigPolyForm1,
     TrigPolyForm2,
+    constant_coeffs,
     eval_at,
     exterior_d,
     fiber_blocks,
@@ -207,6 +209,28 @@ class TestUniformGrid:
         assert peak <= 1.25 * pts.nbytes
 
 
+def _many_modes(count):
+    """A 2-form with ``count`` distinct frequencies in [-2, 2]^4, dealt round
+    robin over its six slots."""
+    # k > 0 lexicographically: the first nonzero entry is positive
+    ks = [k for k in itertools.product(range(-2, 3), repeat=4) if k > (0, 0, 0, 0)]
+    slots = [TrigPolyFn.zero()] * 6
+    for j, k in enumerate(ks[:count]):
+        slots[j % 6] += TrigPolyFn.mode(k, cos=1 / (j + 1), sin=(-1) ** j / (j + 2))
+    return TrigPolyForm2(tuple(slots))
+
+
+#: up to three modes per slot, their frequencies often shared between slots
+modes = st.lists(
+    st.tuples(
+        st.one_of(st.sampled_from([(1, 0, 0, 0), (0, 1, -1, 0), (2, -1, 0, 1)]), small_k),
+        st.floats(-3, 3),
+        st.floats(-3, 3),
+    ),
+    max_size=3,
+)
+
+
 class TestFiberBlocks:
     def test_constant_forms_give_one_exact_block(self):
         kappa = TrigPolyForm2.from_constant(KAPPA)
@@ -234,6 +258,73 @@ class TestFiberBlocks:
         with pytest.raises(ValueError):
             list(fiber_blocks(0, rot, W0))
         assert list(fiber_blocks(0, F0, W0)) == [(F0.coeffs, W0.coeffs)]
+
+    @given(
+        f_modes=st.lists(modes, min_size=6, max_size=6),
+        g_modes=st.lists(modes, min_size=6, max_size=6),
+        grid=st.integers(2, 5),
+    )
+    def test_rows_match_eval_grid(self, f_modes, g_modes, grid):
+        f, g = (
+            TrigPolyForm2.from_fns(
+                [sum((TrigPolyFn.mode(k, a, b) for k, a, b in slot), TrigPolyFn.zero())
+                 for slot in slots]
+            )
+            for slots in (f_modes, g_modes)
+        )
+        assume(constant_coeffs(f) is None)
+        forms = (f, W0, exterior_d(f), TrigPolyForm2.from_constant(KAPPA), g)
+        pts = uniform_grid(grid)
+        start = 0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(torus_forms, "CHUNK_POINTS", 37)  # divides no grid^4 here
+            for rows in fiber_blocks(grid, *forms):
+                block = pts[start:start + 37]
+                for form, got in zip(forms, rows):
+                    if constant_coeffs(form) is not None:
+                        assert got == [float(v) for v in constant_coeffs(form)]
+                        continue
+                    assert got.shape == (len(form.c), len(block)) and got.flags.c_contiguous
+                    for fn, row, want in zip(form.c, got, form.eval_grid(block).T):
+                        if len(fn.modes) <= 1:
+                            assert row.tobytes() == want.tobytes()
+                        else:
+                            assert np.abs(row - want).max() <= 1e-13 * fn.coefficient_norm()
+                start += len(block)
+        assert start == len(pts)
+
+    def test_walker_never_calls_eval_grid(self, monkeypatch):
+        def refuse(self, pts):
+            raise AssertionError("eval_grid called")
+
+        rot = rotation_family((1, -1, 0, 1))
+        expected = nijenhuis_defect(W0, rot, grid=6)
+        monkeypatch.setattr(TrigPolyFn, "eval_grid", refuse)
+        assert nijenhuis_defect(W0, rot, grid=6) == expected
+        assert len(list(fiber_blocks(6, rot, exterior_d(rot), W0))) == 1
+
+    def test_nan_stays_in_its_slot(self):
+        k = (1, 2, 0, -1)
+        rot = rotation_family(k)
+        nan_f = rot + TrigPolyForm2.from_fns([0] * 5 + [TrigPolyFn.mode(k, cos=math.nan)])
+        (f_rows, rot_rows), = fiber_blocks(3, nan_f, rot)
+        assert np.isnan(f_rows[5]).all()
+        assert np.isfinite(f_rows[:5]).all() and np.isfinite(rot_rows).all()
+
+    def test_table_memory_does_not_grow_with_frequencies(self):
+        from branekit.brane_check import verify_brane
+
+        f = _many_modes(239)
+        assert len({k for fn in f.c for k, _, _ in fn.modes}) == 239
+        verify_brane(W0, rotation_family((1, 0, 0, 0)), grid=2)  # first-call allocations
+        tracemalloc.start()
+        try:
+            verify_brane(W0, f, grid=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one whole (239, 4096) cos/sin table would take 15 MiB
+        assert peak <= 4 * 2**20
 
 
 class TestRotationFamily:
