@@ -34,14 +34,7 @@ from .exterior4 import (
     square_resid,
     wedge,
 )
-from .torus_forms import (
-    check_omega,
-    exterior_d,
-    fiber_blocks,
-    i_basis,
-    i_field,
-    i_square_resid,
-)
+from .torus_forms import check_omega, closed_i_square_resid, exterior_d, fiber_blocks, i_basis
 
 
 @dataclass(frozen=True)
@@ -95,19 +88,20 @@ def _least(values):
 
 
 def _i_square_peak(omega, tol):
-    """max |I^2 + Id| over a block of F's rows, as a function of the block:
-    exactly by compose_i at one fiber, by the I-field on the grid, where the
-    first block builds the one i_basis of the call; NonDegenerateRequired
-    when pf(omega)^2 <= tol."""
+    """max |I^2 + Id| over a block of F's rows, as a function of the rows and
+    the block's wedges F^F, F^omega and omega^omega: exactly by compose_i at
+    one fiber; on the grid by the closed form 2c I + (1 - r) Id of
+    :func:`closed_i_square_resid`, where the first block builds the one
+    i_basis of the call; NonDegenerateRequired when pf(omega)^2 <= tol."""
     basis = None
 
-    def peak(rows):
+    def peak(rows, w_ff, w_fo, w_oo):
         nonlocal basis
         if not isinstance(rows, np.ndarray):
             return square_resid(compose_i(omega, Form2.from_coeffs(rows), tol))
         if basis is None:
             basis = i_basis(omega, tol)
-        return i_square_resid(i_field(basis, rows.T))
+        return closed_i_square_resid(basis, rows, w_ff, w_fo, w_oo)
 
     return peak
 
@@ -124,10 +118,10 @@ def verify_brane(omega: Form2, f, grid: int = 8, tol: float = 1e-9) -> BraneRepo
     i_square_peak = _i_square_peak(omega, min(tol, 1e-12))
     sq, orth, i_sq, low, grid_used = [], [], [], [], 0
     for fc, oc in fiber_blocks(grid, f, omega):
-        w_ff = wedge(fc, fc)
-        sq.append(_peak(w_ff - wedge(oc, oc)))
-        orth.append(_peak(wedge(fc, oc)))
-        i_sq.append(i_square_peak(fc))
+        w_ff, w_fo, w_oo = wedge(fc, fc), wedge(fc, oc), wedge(oc, oc)
+        sq.append(_peak(w_ff - w_oo))
+        orth.append(_peak(w_fo))
+        i_sq.append(i_square_peak(fc, w_ff, w_fo, w_oo))
         low.append(_low(w_ff))
         grid_used += np.size(w_ff)
     r_sq, r_orth, r_i = max_abs(sq), max_abs(orth), max_abs(i_sq)
@@ -225,9 +219,10 @@ def linearized_deformation_check(
         return False
     i_square_peak, peaks = _i_square_peak(omega, 1e-12), []
     for fc, ac, oc in fiber_blocks(grid, f, alpha, omega):
+        vol = wedge(oc, oc)
         # raises NonDegenerateRequired for a degenerate omega, whatever F is
-        if not i_square_peak(fc) <= max(tol, 1e-9):
+        if not i_square_peak(fc, wedge(fc, fc), wedge(fc, oc), vol) <= max(tol, 1e-9):
             raise NotAlmostComplex("type projection needs I*I = -Id")
-        w_f, w_o, vol = wedge(ac, fc), wedge(ac, oc), wedge(oc, oc)
+        w_f, w_o = wedge(ac, fc), wedge(ac, oc)
         peaks += [_peak(exact_div(w_f * x + w_o * y, vol)) for x, y in zip(fc, oc)]
     return bool(max_abs(peaks) <= tol)  # a NaN never passes

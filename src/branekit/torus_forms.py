@@ -16,12 +16,19 @@ table of the forms' distinct frequencies gives all their coefficient rows
 by two matrix products; the table is built in slices of frequencies no
 longer than the rows, so its memory is bounded by the samples it yields.
 
-The module also hosts the integrability diagnostics, both built on one
-I-field kernel (I = omega^{-1} o F is linear in F's coefficients, see
-:func:`i_basis`) and one Nijenhuis formula:
+The pointwise algebra of I = omega^{-1} o F (linear in F's coefficients,
+see :func:`i_basis`) runs on the grid as two constant tables in F, built
+once per call from ``i_basis``, with no per-point I-field:
+
+* I^2 + Id in closed form, 2c I + (1 - r) Id from I and the block's wedges
+  (:func:`closed_i_square_resid`);
+* the Nijenhuis tensor, bilinear in F and its partials, as one (144, 24)
+  table derived from the one Nijenhuis formula (:func:`_nijenhuis_table`).
+
+The module also hosts the integrability diagnostics:
 
 * the Nijenhuis defect of the candidate complex structure over a grid, with
-  exact derivatives d_m I taken from the symbolic d_m F (no step size);
+  exact derivatives taken from the symbolic d_m F (no step size);
 * the residual of the identity
 
       omega((L_{IY} I - I L_Y I)(X), .) = (i_{IY} dF)(X, .) + (i_Y dF)(I X, .)
@@ -311,7 +318,8 @@ def check_omega(omega: Form2, tol):
 
 
 #: grid points per block of :func:`fiber_blocks`: the work arrays follow the
-#: block (at most about 8.5 MiB at 4096 points), not the grid^4 points
+#: block (at most about 6.2 MiB at 4096 points, most of it the 144 products
+#: of :func:`nijenhuis_defect`), not the grid^4 points
 CHUNK_POINTS = 4096
 
 
@@ -405,27 +413,38 @@ _UNIT_BIVECTORS = np.array([matrix_of_form2(Form2.from_coeffs(row)) for row in n
 def i_basis(omega: Form2, tol: float = 0.0):
     """omega^{-1} o e^{ab} for the six basis bivectors, as a (6, 16) array.
 
-    I = omega^{-1} o F is linear in the six coefficients of F, so the
-    I-field is the single contraction :func:`i_field` of F's coefficients
-    with this basis, and the same contraction of the coefficients of d_m F
-    gives d_m I exactly; raises NonDegenerateRequired when pf^2 <= tol.
+    I = omega^{-1} o F is linear in the six coefficients of F, so I at a
+    point is the one contraction ``coeff @ basis`` of F's coefficients with
+    this basis (row-major 4x4), and the same contraction of the coefficients
+    of d_m F gives d_m I exactly; raises NonDegenerateRequired when
+    pf^2 <= tol.
     """
     inverse = np.array(inverse_times(omega, np.eye(4).tolist(), tol))
     return (inverse @ _UNIT_BIVECTORS).reshape(6, 16)
 
 
-def i_field(basis, coeff):
-    """I = omega^{-1} o F at each row of a (..., 6) coefficient array: (..., 4, 4)."""
-    return (coeff @ basis).reshape(coeff.shape[:-1] + (4, 4))
+def closed_i_square_resid(basis, f_rows, w_ff, w_fo, w_oo):
+    """max |I^2 + Id| over a (6, n) block of F's rows, with no I @ I.
+
+    In dimension 4, Cayley-Hamilton for the Pfaffian pencil pf(F - t omega)
+    gives I^2 = 2c I - r Id with c = (F^omega)/(omega^omega) and
+    r = (F^F)/(omega^omega), so I^2 + Id = 2c I + (1 - r) Id: one
+    contraction of the rows with ``basis`` and the block's wedges
+    ``w_ff`` = F^F, ``w_fo`` = F^omega and ``w_oo`` = omega^omega.
+    A NaN anywhere gives NaN.
+    """
+    resid = basis.T @ f_rows  # (16, n): row 4a + b holds I[a, b]
+    resid *= 2 * w_fo / w_oo
+    resid[::5] += 1 - w_ff / w_oo  # the diagonal rows 0, 5, 10, 15
+    return float(np.abs(resid, out=resid).max())
 
 
-def i_square_resid(i_mats):
-    """Largest entry of |I^2 + Id| over a stack of (..., 4, 4) maps."""
-    return float(np.abs(i_mats @ i_mats + np.eye(4)).max())
-
-
-def _require_pointwise_complex(i_mats, tol):
-    resid = i_square_resid(i_mats)
+def _require_pointwise_brane(basis, f_rows, omega_rows, tol):
+    """Raise NotPointwiseBrane unless I^2 + Id is at most tol on the block."""
+    resid = closed_i_square_resid(
+        basis, f_rows, wedge(f_rows, f_rows), wedge(f_rows, omega_rows),
+        wedge(omega_rows, omega_rows),
+    )
     if not resid <= tol:
         raise NotPointwiseBrane(f"I^2 + Id has max entry {resid:.3e} > {tol:.1e}")
 
@@ -443,33 +462,61 @@ def _nijenhuis_tensor(i_mats, d_i):
     return a - a.transpose(0, 1, 3, 2)
 
 
+def _nijenhuis_table(basis):
+    """N as a constant (144, 24) table, bilinear in F and its partials.
+
+    For a constant omega, I = sum_p F_p B_p and d_m I = sum_q (d_m F)_q B_q
+    with B_p the rows of ``basis``, and N is bilinear in (I, d I).  Row
+    24 p + 6 m + q is :func:`_nijenhuis_tensor` at I = B_p, d_m I = B_q (the
+    other partials zero); column 6 k + s is N[k, i, j] for the s-th pair
+    i < j of ``np.triu_indices(4, 1)`` (N is antisymmetric in i, j).  So
+    the 24 components at a point are the table's transpose applied to the
+    144 products F_p (d_m F)_q.
+    """
+    b = basis.reshape(6, 4, 4)
+    d_i = np.zeros((4, 6, 4, 6, 4, 4))  # [m', p, m, q] = B_q if m' == m
+    for m in range(4):
+        d_i[m, :, m] = b
+    n_tensor = _nijenhuis_tensor(np.repeat(b, 24, axis=0), d_i.reshape(4, 144, 4, 4))
+    i, j = np.triu_indices(4, 1)
+    return n_tensor[:, :, i, j].reshape(144, 24)
+
+
 def nijenhuis_defect(omega: Form2, f, grid: int = 8, tol: float = 1e-9):
     """(max Nijenhuis defect, max |dF|) of I = omega^{-1} o F over a grid.
 
     The defect is the largest component of N(e_i, e_j) over all grid
-    points and index pairs.  Its I-field derivatives are exact: d_m I is
-    the I-field contraction applied to the symbolic derivative d_m F, so no
-    finite-difference step is involved.  max |dF| evaluates the exact
-    exterior derivative pointwise on the same grid.  Both vanish together:
-    the structure is integrable exactly when F is closed.  The grid is
-    walked by :func:`fiber_blocks`, so the per-point work arrays keep a
-    fixed size whatever the grid (a constant F is checked at one fiber).
+    points and index pairs.  Its derivatives are exact: N is bilinear in F
+    and the symbolic partials d_m F, so per block it is one product of the
+    constant table of :func:`_nijenhuis_table` (built once per call) with
+    the 144 products F_p (d_m F)_q, and no finite-difference step or
+    per-point I-field is involved.  Every block first passes the closed
+    form of :func:`closed_i_square_resid` (NotPointwiseBrane otherwise).
+    max |dF| evaluates the exact exterior derivative pointwise on the same
+    grid.  Both vanish together: the structure is integrable exactly when
+    F is closed.  The grid is walked by :func:`fiber_blocks`, so the work
+    arrays keep a fixed size whatever the grid (a constant F is checked at
+    one fiber).
     """
     check_omega(omega, tol)
     f = as_trig(f)
     basis = i_basis(omega)
+    table_t = _nijenhuis_table(basis).T
+    omega_rows = [float(v) for v in omega.coeffs]
     partials = [TrigPolyForm2(tuple(fn.derivative(m) for fn in f.c)) for m in range(4)]
     defects, dfs = [], []
     for rows in fiber_blocks(grid, f, *partials, exterior_d(f)):
-        dfs.append(np.abs(np.asarray(rows[5], dtype=float)).max())
-        # F and its partials at each point; a constant (zero) partial broadcasts
-        i_all = i_field(basis, np.stack(np.broadcast_arrays(
-            *(np.atleast_2d(np.asarray(r, dtype=float).T) for r in rows[:5])
-        )))
-        del rows  # freeing the samples, and the I-field below, early saves fresh pages
-        _require_pointwise_complex(i_all[0], tol)
-        defects.append(np.abs(_nijenhuis_tensor(i_all[0], i_all[1:])).max())
-        del i_all
+        # (slots, n) float rows; a constant (zero) partial is (6, 1) and broadcasts
+        fc, *d_f, d_form = (np.asarray(r, dtype=float).reshape(len(r), -1) for r in rows)
+        dfs.append(np.abs(d_form).max())
+        _require_pointwise_brane(basis, fc, omega_rows, tol)
+        prod = np.empty((6, 4, 6, fc.shape[1]))  # F_p (d_m F)_q at [p, m, q]
+        for m, d in enumerate(d_f):
+            np.multiply(fc[:, None], d, out=prod[:, m])
+        n_comps = table_t @ prod.reshape(144, -1)
+        defects.append(np.abs(n_comps, out=n_comps).max())
+        # freeing this block before the next one is sampled saves fresh pages
+        del rows, fc, d_f, d_form, prod, n_comps
     # np.max, unlike the builtin, keeps a NaN from any block
     return float(np.max(defects)), float(np.max(dfs))
 
@@ -488,8 +535,10 @@ def integrability_identity_residual(
     f = as_trig(f)
     # x, then x + h e_m and x - h e_m for m = 0..3
     steps = np.concatenate([np.zeros((1, 4)), h * np.eye(4), -h * np.eye(4)])
-    i_mats = i_field(i_basis(omega), f.eval_grid(np.asarray(x, dtype=float) + steps))
-    _require_pointwise_complex(i_mats[:1], tol)
+    basis = i_basis(omega)
+    coeff = f.eval_grid(np.asarray(x, dtype=float) + steps)
+    _require_pointwise_brane(basis, coeff[:1].T, [float(v) for v in omega.coeffs], tol)
+    i_mats = (coeff @ basis).reshape(-1, 4, 4)
     d_i = (i_mats[1:5] - i_mats[5:]) / (2.0 * h)
     n_tensor = _nijenhuis_tensor(i_mats[:1], d_i[:, None])[0]
     i_mat = i_mats[0]

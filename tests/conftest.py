@@ -1,8 +1,15 @@
 import numpy as np
 from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
 from branekit.exterior4 import Form2, LinearMap4, pullback_form2
-from branekit.torus_forms import standard_brane, standard_kahler, standard_symplectic
+from branekit.torus_forms import (
+    TrigPolyFn,
+    TrigPolyForm2,
+    standard_brane,
+    standard_kahler,
+    standard_symplectic,
+)
 
 settings.register_profile(
     "ci",
@@ -35,3 +42,40 @@ def random_brane_pair(rng):
 
 def random_form2(rng, bound=3) -> Form2:
     return Form2.from_coeffs(tuple(int(v) for v in rng.integers(-bound, bound + 1, size=6)))
+
+
+def random_brane_field(rng, k, r):
+    """(omega, F): a trig-poly pointwise brane F for a pulled-back omega.
+
+    With c, s = cos, sin <k, x>, nu = e^{12} - e^{34} and any trig poly r,
+    F = (c - r s) F0 + (s + r c) kappa + r nu has F ^ F = omega0 ^ omega0 and
+    F ^ omega0 = 0 everywhere, and several modes per slot when r has them;
+    pulling omega0, F0, kappa and nu back by a random orientation-preserving
+    integer map keeps both identities.
+    """
+    p = random_int_gl4(rng)
+    omega, f0, kahler, nu = (
+        pullback_form2(p, form)
+        for form in (standard_symplectic(), standard_brane(), standard_kahler(),
+                     Form2(c12=1, c34=-1))
+    )
+    c, s = TrigPolyFn.mode(k, cos=1), TrigPolyFn.mode(k, sin=1)
+    f = (
+        (c - r * s) * TrigPolyForm2.from_constant(f0)
+        + (s + r * c) * TrigPolyForm2.from_constant(kahler)
+        + r * TrigPolyForm2.from_constant(nu)
+    )
+    return omega, f
+
+
+#: trig polys of one to three float modes, frequencies in [-2, 2]^4
+trig_polys = st.lists(
+    st.builds(
+        TrigPolyFn.mode,
+        st.tuples(*[st.integers(-2, 2)] * 4),
+        st.floats(-3, 3),
+        st.floats(-3, 3),
+    ),
+    min_size=1,
+    max_size=3,
+).map(lambda fns: sum(fns, TrigPolyFn.zero()))

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from branekit import brane_check, torus_forms
 from branekit.brane_check import (
@@ -19,14 +21,27 @@ from branekit.brane_check import (
 )
 from branekit.cohomology import class_of_constant_form, constant_form_of_class, torus_space
 from branekit.errors import NonDegenerateRequired, NotAlmostComplex, NotSkew
-from branekit.exterior4 import Form2, LinearMap4, compose_i, type_projectors, wedge22
+from branekit.exterior4 import (
+    Form2,
+    LinearMap4,
+    compose_i,
+    is_exact,
+    max_abs,
+    pfaffian,
+    square_resid,
+    type_projectors,
+    wedge,
+    wedge22,
+)
 from branekit.period_domain import QuadricSpec, build_chart, chart_point
 from branekit.torus_forms import (
     TrigPolyFn,
     TrigPolyForm1,
     TrigPolyForm2,
+    closed_i_square_resid,
     eval_at,
     exterior_d,
+    i_basis,
     rotation_family,
     standard_brane,
     standard_kahler,
@@ -34,7 +49,7 @@ from branekit.torus_forms import (
     uniform_grid,
 )
 
-from conftest import random_brane_pair, random_form2
+from conftest import random_brane_field, random_brane_pair, random_form2, trig_polys
 
 W0 = standard_symplectic()
 F0 = standard_brane()
@@ -366,3 +381,102 @@ class TestFiberWalk:
             tracemalloc.stop()
         # the points of the grid take 10.1 MiB, the blocks the rest
         assert peak <= 16 * 2**20
+
+
+floats = st.floats(-3, 3)
+seeds = st.integers(0, 2**32 - 1)
+ks = st.sampled_from([(1, 0, 0, 0), (0, 1, -1, 0), (1, 2, 0, -1)])
+
+
+def _float_omega(coeffs):
+    omega = Form2.from_coeffs(tuple(coeffs))
+    assume(abs(pfaffian(omega)) >= 0.25)
+    return omega
+
+
+def _assert_closed_form_matches_compose_i(omega, cols):
+    """The closed form over the columns of a (6, n) block against the largest
+    square_resid(compose_i) of its columns, within 1e-12 of 1 + max |I|^2."""
+    rows = np.array(cols, dtype=float).T
+    o = [float(v) for v in omega.coeffs]
+    got = closed_i_square_resid(
+        i_basis(omega), rows, wedge(rows, rows), wedge(rows, o), wedge(o, o)
+    )
+    maps = [compose_i(omega, Form2.from_coeffs(tuple(col))) for col in rows.T]
+    want = max_abs(square_resid(i) for i in maps)
+    scale = 1 + max(i.max_abs() for i in maps) ** 2
+    assert abs(got - want) <= 1e-12 * scale
+
+
+class TestClosedFormISquare:
+    """I^2 + Id = 2c I + (1 - r) Id against square_resid(compose_i)."""
+
+    @given(omega=st.lists(floats, min_size=6, max_size=6),
+           cols=st.lists(st.lists(floats, min_size=6, max_size=6), min_size=1, max_size=5))
+    def test_float_forms(self, omega, cols):
+        _assert_closed_form_matches_compose_i(_float_omega(omega), cols)
+
+    @given(seed=seeds, k=ks, r=trig_polys, scale=st.floats(1e-3, 1e3),
+           eps=st.sampled_from([0.0, 1e-9, 1e-3, 1.0]))
+    def test_pulled_back_branes_and_perturbations(self, seed, k, r, scale, eps):
+        omega, field = random_brane_field(np.random.default_rng(seed), k, r)
+        omega = scale * Form2.from_coeffs(tuple(float(v) for v in omega.coeffs))
+        cols = [[scale * v + eps * (i + 1) for i, v in enumerate(eval_at(field, x).coeffs)]
+                for x in uniform_grid(2)[::3]]
+        _assert_closed_form_matches_compose_i(omega, cols)
+
+    @given(omega=st.lists(st.integers(-3, 3), min_size=6, max_size=6),
+           f=st.lists(st.integers(-3, 3), min_size=6, max_size=6))
+    def test_integer_forms_are_exact(self, omega, f):
+        omega, f = Form2.from_coeffs(tuple(omega)), Form2.from_coeffs(tuple(f))
+        assume(pfaffian(omega) != 0)
+        i = compose_i(omega, f)
+        c = Fraction(wedge(f.coeffs, omega.coeffs), wedge(omega.coeffs, omega.coeffs))
+        r = Fraction(wedge(f.coeffs, f.coeffs), wedge(omega.coeffs, omega.coeffs))
+        closed = max_abs(2 * c * i.m[a][b] + (1 - r) * (a == b)
+                         for a in range(4) for b in range(4))
+        assert closed == square_resid(i)
+        # the one-fiber report keeps the exact value and type
+        got = verify_brane(omega, f).i_square_resid
+        assert is_exact(got) and got == square_resid(i)
+
+    @given(seed=seeds, k=ks, r=trig_polys, eps=st.sampled_from([0.0, 1e-3, 1.0]))
+    def test_grid_report_matches_pointwise_compose_i(self, seed, k, r, eps):
+        omega, field = random_brane_field(np.random.default_rng(seed), k, r)
+        # eps > 0 leaves the pointwise branes
+        field = field + eps * r * TrigPolyForm2.from_constant(Form2(c12=1, c13=2))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(torus_forms, "CHUNK_POINTS", 37)  # divides no grid^4 here
+            got = verify_brane(omega, field, grid=3).i_square_resid
+        maps = [compose_i(omega, eval_at(field, x)) for x in uniform_grid(3)]
+        want = max_abs(square_resid(i) for i in maps)
+        assert abs(got - want) <= 1e-12 * (1 + max(i.max_abs() for i in maps) ** 2)
+
+    def test_nan_mode_never_passes(self):
+        nan_mode = TrigPolyFn.mode((1, 0, 0, 0), cos=float("nan"))
+        f = TrigPolyForm2.from_constant(F0) + TrigPolyForm2.from_fns([0] * 5 + [nan_mode])
+        rep = verify_brane(W0, f)
+        assert math.isnan(rep.i_square_resid) and not rep.passed
+        alpha = TrigPolyForm2.from_constant(KAPPA)
+        with pytest.raises(NotAlmostComplex):
+            linearized_deformation_check(W0, f, alpha)
+
+    def test_no_per_point_i_field_on_the_grid(self, monkeypatch):
+        shapes = []
+
+        class ShapeSpy(np.ndarray):
+            """Records the shape of every array derived from the basis."""
+
+            def __array_finalize__(self, obj):
+                shapes.append(self.shape)
+
+        def spied(*args):
+            return torus_forms.i_basis(*args).view(ShapeSpy)
+
+        monkeypatch.setattr(brane_check, "i_basis", spied)
+        monkeypatch.setattr(torus_forms, "CHUNK_POINTS", 1000)
+        rot = rotation_family((1, 0, 0, 0))
+        verify_brane(W0, rot)  # 5 blocks
+        linearized_deformation_check(W0, rot, _closed_11(TrigPolyFn.mode((1, 0, 2, 0), cos=1)))
+        assert (16, 1000) in shapes
+        assert not [s for s in shapes if len(s) == 3 and s[1:] == (4, 4)]

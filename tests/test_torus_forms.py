@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from branekit import torus_forms
 from branekit.errors import NotPointwiseBrane
-from branekit.exterior4 import Form2, matrix_of_form2
+from branekit.exterior4 import Form2, matrix_of_form2, pfaffian
 from branekit.torus_forms import (
     TRIVECTOR_SLOTS,
     TrigPolyFn,
@@ -23,6 +23,7 @@ from branekit.torus_forms import (
     eval_at,
     exterior_d,
     fiber_blocks,
+    i_basis,
     integrability_identity_residual,
     integrate,
     nijenhuis_defect,
@@ -33,6 +34,8 @@ from branekit.torus_forms import (
     uniform_grid,
     wedge_density,
 )
+
+from conftest import random_brane_field, trig_polys
 
 W0 = standard_symplectic()
 F0 = standard_brane()
@@ -484,3 +487,86 @@ class TestIdentityResidual:
         r1 = integrability_identity_residual(W0, rot, x, h=1e-4)
         r2 = integrability_identity_residual(W0, rot, x, h=5e-5)
         assert 3.0 <= r1 / r2 <= 5.0
+
+
+def _tensor_components(basis, f_rows, d_rows):
+    """The 24 components N[k, i<j] per point by the per-point I-field oracle:
+    I and d_m I as (n, 4, 4) stacks fed to _nijenhuis_tensor.  f_rows is
+    (6, n), d_rows (4, 6, n); returns (24, n) and the scale max|I| max|dI|."""
+    i_mats = (f_rows.T @ basis).reshape(-1, 4, 4)
+    d_i = (d_rows.transpose(0, 2, 1) @ basis).reshape(4, -1, 4, 4)
+    n_tensor = torus_forms._nijenhuis_tensor(i_mats, d_i)
+    i, j = np.triu_indices(4, 1)
+    comps = n_tensor[:, :, i, j].reshape(len(i_mats), 24).T
+    return comps, np.abs(i_mats).max() * np.abs(d_i).max()
+
+
+def _table_components(basis, f_rows, d_rows):
+    prod = (f_rows[:, None, None, :] * d_rows[None]).reshape(144, -1)
+    return torus_forms._nijenhuis_table(basis).T @ prod
+
+
+omega_coeffs = st.lists(st.floats(-3, 3), min_size=6, max_size=6)
+
+
+class TestNijenhuisTable:
+    """N from the constant (144, 24) table against the per-point formula."""
+
+    @given(omega=omega_coeffs, n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_matches_tensor_on_any_rows(self, omega, n, seed):
+        # N is bilinear, so F and its partials need not be consistent
+        omega = Form2.from_coeffs(tuple(omega))
+        assume(abs(pfaffian(omega)) >= 0.25)
+        rng = np.random.default_rng(seed)
+        f_rows, d_rows = rng.uniform(-3, 3, (6, n)), rng.uniform(-3, 3, (4, 6, n))
+        basis = i_basis(omega)
+        want, scale = _tensor_components(basis, f_rows, d_rows)
+        assert np.abs(_table_components(basis, f_rows, d_rows) - want).max() <= 1e-12 * scale
+
+    @given(omega=st.lists(st.integers(-2, 2), min_size=6, max_size=6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_integer_rows_are_exact(self, omega, seed):
+        # pf = +-1, +-2 or +-4 keeps the basis dyadic, so every float is exact
+        omega = Form2.from_coeffs(tuple(omega))
+        assume(abs(pfaffian(omega)) in (1, 2, 4))
+        rng = np.random.default_rng(seed)
+        f_rows = rng.integers(-3, 4, (6, 4)).astype(float)
+        d_rows = rng.integers(-3, 4, (4, 6, 4)).astype(float)
+        basis = i_basis(omega)
+        want, _ = _tensor_components(basis, f_rows, d_rows)
+        assert np.array_equal(_table_components(basis, f_rows, d_rows), want)
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           k=st.sampled_from([(1, 0, 0, 0), (0, 1, -1, 0), (1, 2, 0, -1)]),
+           r=trig_polys, grid=st.integers(2, 4))
+    def test_defect_matches_per_point_oracle(self, seed, k, r, grid):
+        omega, f = random_brane_field(np.random.default_rng(seed), k, r)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(torus_forms, "CHUNK_POINTS", 37)  # divides no grid^4 here
+            defect, _ = nijenhuis_defect(omega, f, grid=grid)
+        pts = uniform_grid(grid)
+        d_rows = np.stack([
+            TrigPolyForm2(tuple(fn.derivative(m) for fn in f.c)).eval_grid(pts).T
+            for m in range(4)
+        ])
+        want, scale = _tensor_components(i_basis(omega), f.eval_grid(pts).T, d_rows)
+        assert abs(defect - np.abs(want).max()) <= 1e-12 * scale
+
+    def test_tensor_formula_runs_once_per_call(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return nijenhuis_tensor(*args)
+
+        nijenhuis_tensor = torus_forms._nijenhuis_tensor
+        monkeypatch.setattr(torus_forms, "_nijenhuis_tensor", counted)
+        monkeypatch.setattr(torus_forms, "CHUNK_POINTS", 1000)
+        defect, _ = nijenhuis_defect(W0, rotation_family((1, -1, 0, 1)), grid=8)  # 5 blocks
+        assert defect > 0.1 and len(calls) <= 1
+
+    def test_nan_mode_raises(self):
+        nan_mode = TrigPolyFn.mode((1, 0, 0, 0), cos=math.nan)
+        f = TrigPolyForm2.from_constant(F0) + TrigPolyForm2.from_fns([0] * 5 + [nan_mode])
+        with pytest.raises(NotPointwiseBrane):
+            nijenhuis_defect(W0, f, grid=4)
