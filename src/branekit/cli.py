@@ -289,13 +289,7 @@ def cmd_metric(args):
             for _ in range(args.sweep)
         ]
     else:
-        if args.ybar:
-            try:
-                ybar = tuple(float(v) for v in args.ybar.split(","))
-            except ValueError as exc:
-                raise SchemaError(f"--ybar must be comma-separated numbers: {exc}") from exc
-        else:
-            ybar = (0.0,) * k
+        ybar = args.ybar if args.ybar is not None else (0.0,) * k
         if len(ybar) != k:
             raise SchemaError(f"--ybar needs {k} comma-separated values")
         params = [(args.theta, ybar)]
@@ -461,6 +455,14 @@ def cmd_example_torus(args):
 # --- argument parsing -------------------------------------------------------
 
 
+def _comma_floats(text):
+    try:
+        return tuple(float(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from None
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="branekit",
@@ -496,7 +498,8 @@ def _build_parser():
     p.add_argument("base_file")
     p.add_argument("--space", choices=("t4", "k3"), default="t4")
     p.add_argument("--theta", type=float, default=0.0)
-    p.add_argument("--ybar", default=None, help="comma-separated chart coordinates")
+    p.add_argument("--ybar", type=_comma_floats, default=None,
+                   help="comma-separated chart coordinates, all finite")
     p.add_argument("--sweep", type=int, default=0, help="number of random samples")
     p.add_argument("--seed", type=int, default=0)
     common(p, needs_grid=False)
@@ -528,6 +531,9 @@ _OPTION_RULES = (
     ("h", lambda v: math.isfinite(v) and v > 0, "a finite number > 0"),
     ("samples", lambda v: v >= 0, "an integer >= 0"),
     ("sweep", lambda v: v >= 0, "an integer >= 0"),
+    ("seed", lambda v: v >= 0, "an integer >= 0"),
+    ("theta", math.isfinite, "a finite number"),
+    ("ybar", lambda v: all(map(math.isfinite, v)), "comma-separated finite numbers"),
 )
 
 

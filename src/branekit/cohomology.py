@@ -23,7 +23,13 @@ from math import isqrt
 
 import numpy as np
 
-from .errors import DegenerateSubspace, SignatureMismatch, SpaceMismatch, WrongSpace
+from .errors import (
+    DegenerateSubspace,
+    NonFiniteMatrix,
+    SignatureMismatch,
+    SpaceMismatch,
+    WrongSpace,
+)
 from .exterior4 import Form2, exact_div, is_exact, max_abs, wedge22
 
 
@@ -60,14 +66,38 @@ class CohClass:
             )
 
     def pair(self, other: "CohClass"):
+        """The pairing sum of x_i * (p_ij * y_j) over the nonzero entries p_ij.
+
+        A term is skipped when x_i and y_j are both exact (``int`` or
+        ``Fraction``) and one of them is zero: it is an exact zero, and adding
+        it changes neither the value nor, for a float sum, the sign of zero.
+        A float meeting an exact zero is still multiplied, so NaN and inf
+        propagate and the sum stays a float.  When a skipped term was a
+        Fraction and the rest sum to an int, the sum is returned as a Fraction,
+        the type the unskipped sum has.
+        """
         if self.space != other.space:
             raise SpaceMismatch("classes live in different spaces")
         y = other.coeffs
+        terms = []
+        fraction_skipped = False
         # only the nonzero entries: bit-identical to the dense sum when every
         # row has at most one, and exact for exact inputs in any case
-        return sum(
-            xi * (p * y[j]) for xi, row in zip(self.coeffs, self.space.sparse_rows) for j, p in row
-        )
+        for xi, row in zip(self.coeffs, self.space.sparse_rows):
+            tx = type(xi)
+            x_exact = tx is int or tx is Fraction
+            for j, p in row:
+                yj = y[j]
+                if x_exact and not (xi and yj):
+                    ty = type(yj)
+                    if ty is int or ty is Fraction:
+                        fraction_skipped = fraction_skipped or tx is Fraction or ty is Fraction
+                        continue
+                terms.append(xi * (p * yj))
+        total = sum(terms)
+        if fraction_skipped and type(total) is int:
+            return Fraction(total)
+        return total
 
     def __add__(self, other):
         if self.space != other.space:
@@ -142,11 +172,17 @@ def constant_form_of_class(c: CohClass) -> Form2:
 
 
 def signature(space_or_matrix, tol: float = 1e-9):
-    """(positive, negative) eigenvalue counts of a symmetric pairing."""
+    """(positive, negative) eigenvalue counts of a symmetric pairing.
+
+    Raises NonFiniteMatrix when an entry is NaN or inf: such a matrix has no
+    signature, and a NaN would otherwise count as neither sign.
+    """
     if isinstance(space_or_matrix, IntersectionSpace):
         mat = np.array(space_or_matrix.pairing, dtype=float)
     else:
         mat = np.asarray(space_or_matrix, dtype=float)
+    if not np.isfinite(mat).all():
+        raise NonFiniteMatrix("signature of a matrix with a NaN or infinite entry")
     eig = np.linalg.eigvalsh(mat)
     scale = max(1.0, float(np.abs(eig).max()))
     pos = int((eig > tol * scale).sum())
@@ -180,9 +216,9 @@ def indefinite_gram_schmidt(vectors, target_squares, tol: float = 1e-9):
     each output to the prescribed square.
 
     Sequential Gram-Schmidt, deterministic in the input order.  Raises
-    DegenerateSubspace when a pivot square falls below tol in magnitude and
-    SignatureMismatch when a pivot square has the wrong sign for its
-    requested target.
+    DegenerateSubspace when a pivot square is not above tol in magnitude
+    (a NaN square included) and SignatureMismatch when a pivot square has
+    the wrong sign for its requested target.
     """
     if len(vectors) != len(target_squares):
         raise ValueError("need one target square per vector")
@@ -195,7 +231,7 @@ def indefinite_gram_schmidt(vectors, target_squares, tol: float = 1e-9):
                 continue
             u = u - exact_div(coef, w.pair(w)) * w
         sq = u.pair(u)
-        if abs(sq) <= tol:
+        if not abs(sq) > tol:  # a NaN square is degenerate too
             raise DegenerateSubspace(f"pivot square {sq} below tolerance")
         if (sq > 0) != (target > 0):
             raise SignatureMismatch(

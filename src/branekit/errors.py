@@ -37,6 +37,10 @@ class SignatureMismatch(BranekitError):
     """Requested squares cannot be realised on the spanned subspace."""
 
 
+class NonFiniteMatrix(BranekitError):
+    """A matrix whose signature is asked for holds NaN or inf."""
+
+
 class DegenerateSubspace(BranekitError):
     """A Gram-Schmidt pivot norm fell below tolerance."""
 

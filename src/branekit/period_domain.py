@@ -237,7 +237,11 @@ class MetricSample:
 
 
 def metric_at(chart: QuadricChart, theta: float, ybar) -> MetricSample:
-    """Induced metric from exact differentiation of the chart map."""
+    """Induced metric from exact differentiation of the chart map.
+
+    Raises NonFiniteMatrix when the metric is not finite, as when |ybar|^2
+    overflows.
+    """
     ybar = tuple(float(y) for y in ybar)
     k = len(chart.neg)
     if len(ybar) != k:
@@ -247,18 +251,18 @@ def metric_at(chart: QuadricChart, theta: float, ybar) -> MetricSample:
     cos_t, sin_t = math.cos(theta), math.sin(theta)
 
     base_a, b_a, neg_a = chart.vectors[0], chart.vectors[1], chart.vectors[2:]
+    y = np.asarray(ybar)
 
-    # exact parameter derivatives of the chart map
+    # exact parameter derivatives of the chart map; row 1 + i is
+    # (y_i / root) * (cos_t base + sin_t b) + n_i, all rows in one broadcast
     tangents = np.empty((1 + k, len(base_a)))
     tangents[0] = root * (-sin_t * base_a + cos_t * b_a)
-    for i in range(k):
-        tangents[1 + i] = (ybar[i] / root) * (cos_t * base_a + sin_t * b_a) + neg_a[i]
+    np.add(np.multiply.outer(y / root, cos_t * base_a + sin_t * b_a), neg_a, out=tangents[1:])
 
     g = tangents @ chart.pairing @ tangents.T
     g = 0.5 * (g + g.T)
 
     s = float(chart.omega_sq)
-    y = np.asarray(ybar)
     gamma_expected = (np.outer(y, y) / m - np.eye(k)) * s
     gamma_resid = float(np.abs(g[1:, 1:] - gamma_expected).max()) if k else 0.0
     off_diag_max = float(np.abs(g[0, 1:]).max()) if k else 0.0

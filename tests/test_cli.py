@@ -229,6 +229,13 @@ class TestOptionRanges:
             ("metric", "f0_file", "--sweep", "-3"),
             ("quadric", "f0_file", "--samples", "-1"),
             ("verify", "f0_file", "--tol", "-1"),
+            ("metric", "f0_file", "--theta", "nan"),
+            ("metric", "f0_file", "--theta", "inf"),
+            ("metric", "f0_file", "--ybar", "nan,0,0"),
+            ("metric", "f0_file", "--ybar", "inf,0,0"),
+            ("metric", "f0_file", "--ybar", "1,x,0"),
+            ("metric", "f0_file", "--seed", "-1"),
+            ("quadric", "f0_file", "--seed", "-1"),
         ],
     )
     def test_out_of_range_option_is_input_error(
@@ -238,6 +245,13 @@ class TestOptionRanges:
         form_file = request.getfixturevalue(form)
         code = main([command, omega_file, form_file, option, value, "--out", str(out)])
         assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_metric_is_input_error(self, omega_file, f0_file, tmp_path):
+        # finite coordinates whose square overflows give a NaN metric
+        out = tmp_path / "never.csv"
+        assert main(["metric", omega_file, f0_file, "--ybar", "1e200,0,0", "--out", str(out)]) == 2
         assert not out.exists()
 
     def test_zero_tol_passes_exact_inputs(self, omega_file, f0_file, tmp_path):

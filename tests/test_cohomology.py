@@ -23,6 +23,7 @@ from branekit.cohomology import (
     torus_space,
 )
 from branekit.errors import (
+    BranekitError,
     DegenerateSubspace,
     SignatureMismatch,
     SpaceMismatch,
@@ -66,6 +67,42 @@ exact_scalars = st.one_of(st.integers(min_value=-50, max_value=50), fractions)
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 spaces = st.sampled_from([SPACE, K3, CUSTOM])
 
+# exact zeros about a third of the time, as in the chart vectors, next to
+# the values whose product with an exact zero must not be skipped
+pair_scalars = st.one_of(
+    st.just(0),
+    st.just(Fraction(0)),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+    st.integers(min_value=-50, max_value=50),
+    fractions,
+    finite_floats,
+)
+
+
+@st.composite
+def dense_spaces(draw):
+    """A random symmetric 5x5 integer pairing, mostly nonzero entries."""
+    rows = [[0] * 5 for _ in range(5)]
+    for i in range(5):
+        for j in range(i, 5):
+            rows[i][j] = rows[j][i] = draw(st.integers(min_value=-3, max_value=3))
+    return IntersectionSpace("dense", 5, tuple(tuple(r) for r in rows))
+
+
+def unskipped_pair(x: CohClass, y: CohClass):
+    """Every term over the nonzero pairing entries, exact zeros included."""
+    yc = y.coeffs
+    return sum(xi * (p * yc[j]) for xi, row in zip(x.coeffs, x.space.sparse_rows) for j, p in row)
+
+
+def same_scalar(a, b):
+    """Equal in value and type, floats also in the sign of zero; NaN matches NaN."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float) and math.isnan(a):
+        return math.isnan(b)
+    return a == b and (not isinstance(a, float) or math.copysign(1, a) == math.copysign(1, b))
+
 
 class TestSpaces:
     def test_torus_pairing_is_three_hyperbolic_planes(self):
@@ -106,6 +143,16 @@ class TestSpaces:
                 if abs(np.linalg.det(q)) > 0.5:
                     break
             assert signature(q.T @ mat @ q) == (3, 3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_matrix_has_no_signature(self, bad):
+        # a NaN eigenvalue counts as neither sign, so it read as (0, 0)
+        with pytest.raises(BranekitError):
+            signature([[bad, 0.0], [0.0, 1.0]])
+        big = np.diag([1.0] * 3 + [-1.0] * 19)
+        big[4, 7] = big[7, 4] = bad
+        with pytest.raises(BranekitError):  # numpy's LinAlgError leaked here
+            signature(big)
 
     def test_space_mismatch_raises(self):
         with pytest.raises(SpaceMismatch):
@@ -155,6 +202,13 @@ class TestGramSchmidt:
     def test_null_vector_is_degenerate(self):
         with pytest.raises(DegenerateSubspace):
             indefinite_gram_schmidt([B[0]], [2])
+
+    @pytest.mark.parametrize("target", [1, -1])
+    def test_nan_pivot_square_is_degenerate(self, target):
+        # NaN <= tol is false, so a NaN square used to pass as a pivot
+        v = CohClass(K3, (0,) * 5 + (math.nan,) + (0,) * 16)
+        with pytest.raises(DegenerateSubspace):
+            indefinite_gram_schmidt([v], [target])
 
     def test_exact_scaling_by_rational_root(self):
         # (B1 - B2) has square -2; scaling to -8 needs the exact factor 2
@@ -233,6 +287,28 @@ class TestSparsePairing:
             assert not math.isfinite(broken.pair(finite))
             assert not math.isfinite(finite.pair(broken))
             assert not math.isfinite(broken.pair(broken))
+
+    @given(st.one_of(st.sampled_from([SPACE, K3]), dense_spaces()).flatmap(
+        lambda sp: _classes(sp, pair_scalars)))
+    def test_zero_skipping_matches_unskipped_sum(self, xy):
+        x, y = xy
+        assert same_scalar(x.pair(y), unskipped_pair(x, y))
+
+    @pytest.mark.parametrize("zero", [0, Fraction(0)])
+    def test_skipped_fraction_keeps_the_fraction_type(self, zero):
+        x = CohClass(K3, (Fraction(3, 2), 2) + (0,) * 20)
+        y = CohClass(K3, (zero, 5) + (0,) * 20)
+        assert same_scalar(x.pair(y), Fraction(10))  # the term 3/2 * 0 is skipped
+        assert same_scalar(y.pair(x), Fraction(10))  # and 0 * 3/2
+        assert same_scalar(y.pair(y), Fraction(25) if type(zero) is Fraction else 25)
+
+    @pytest.mark.parametrize("zero", [0, Fraction(0)])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_float_times_exact_zero_is_not_skipped(self, zero, bad):
+        x = CohClass(SPACE, (zero, 1, 0, 0, 0, 0))
+        y = CohClass(SPACE, (0, bad, 0, 0, 0, 0))
+        assert math.isnan(x.pair(y))  # nan * 0 and inf * 0 are both NaN
+        assert same_scalar(x.pair(CohClass(SPACE, (0, -0.0, 0, 0, 0, 0))), 0.0)
 
     def test_sparse_rows_hold_the_nonzero_entries(self):
         assert SPACE.sparse_rows == (

@@ -17,6 +17,7 @@ from branekit.cohomology import (
 )
 from branekit.errors import (
     DegenerateQuadric,
+    NonFiniteMatrix,
     NotInQuadric,
     SpaceMismatch,
     TargetOutsideSpan,
@@ -58,6 +59,12 @@ def torus_chart():
 
 def k3_chart():
     return build_chart(QK3, E[1])
+
+
+def boosted_k3_chart():
+    # the boosted pair of the K3 golden report: chart vectors off the axes
+    omega = CohClass(K3, (1, 2, 0, 0, 0, 2) + (0,) * 16)
+    return build_chart(QuadricSpec(K3, omega), CohClass(K3, (-2, -1, 0, 0, 0, -2) + (0,) * 16))
 
 
 class TestMembership:
@@ -194,6 +201,32 @@ class TestMetric:
         monkeypatch.setattr(CohClass, "array", no_conversion)
         sample = metric_at(chart, 0.7, (0.5,) + (0.0,) * 18)
         assert np.array_equal(sample.g, expected.g)
+
+    @pytest.mark.parametrize("make_chart", [torus_chart, k3_chart, boosted_k3_chart])
+    def test_broadcast_tangents_match_the_row_loop(self, make_chart):
+        chart = make_chart()
+        base_a, b_a, neg_a = chart.vectors[0], chart.vectors[1], chart.vectors[2:]
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            theta = float(rng.uniform(0, 2 * math.pi))
+            ybar = tuple(float(v) for v in rng.normal(size=len(chart.neg)))
+            root = math.sqrt(1.0 + sum(y * y for y in ybar))
+            cos_t, sin_t = math.cos(theta), math.sin(theta)
+            rows = [root * (-sin_t * base_a + cos_t * b_a)]
+            for y, n in zip(ybar, neg_a):
+                rows.append((y / root) * (cos_t * base_a + sin_t * b_a) + n)
+            t = np.stack(rows)
+            g = t @ chart.pairing @ t.T
+            g = 0.5 * (g + g.T)
+            assert metric_at(chart, theta, ybar).g.tobytes() == g.tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf * 0 in the tangents
+    @pytest.mark.parametrize("ybar", [(1e200, 0, 0), (0, 1e155, 0)])
+    def test_non_finite_metric_is_refused(self, ybar):
+        # |ybar|^2 or the circle coefficient overflows; the NaN metric used to
+        # reach eigvalsh and leak numpy's LinAlgError
+        with pytest.raises(NonFiniteMatrix):
+            metric_at(torus_chart(), 0.3, ybar)
 
     def test_flat_point(self):
         sample = metric_at(torus_chart(), 0.0, (0, 0, 0))
