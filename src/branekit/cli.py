@@ -43,10 +43,7 @@ from importlib import resources
 
 import numpy as np
 
-from .brane_check import (
-    verify_brane,
-    verify_holomorphic_symplectic,
-)
+from .brane_check import verify_brane
 from .cohomology import (
     CohClass,
     class_of_constant_form,
@@ -199,7 +196,7 @@ def cmd_verify(args):
     omega = _parse_constant_form(_load_json(args.omega_file), args.omega_file)
     form = _parse_form(_load_json(args.form_file), args.form_file)
     sb = verify_brane(omega, form, grid=args.grid, tol=args.tol)
-    hs = verify_holomorphic_symplectic(form, omega, grid=args.grid, tol=args.tol)
+    hs = sb.hol_symp
     report = {
         "version": 1,
         "command": "verify",

@@ -37,6 +37,10 @@ class SignatureMismatch(BranekitError):
     """Requested squares cannot be realised on the spanned subspace."""
 
 
+class NonPositiveSquare(BranekitError, ValueError):
+    """A class that must have positive square does not."""
+
+
 class NonFiniteMatrix(BranekitError):
     """A matrix whose signature is asked for holds NaN or inf."""
 

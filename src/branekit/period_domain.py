@@ -34,6 +34,8 @@ from .cohomology import (
 )
 from .errors import (
     DegenerateQuadric,
+    NonFiniteMatrix,
+    NonPositiveSquare,
     NotInQuadric,
     SignatureMismatch,
     SpaceMismatch,
@@ -53,7 +55,7 @@ class QuadricSpec:
         if self.omega.space != self.space:
             raise SpaceMismatch("omega class lives in a different space")
         if not self.omega.pair(self.omega) > 0:
-            raise ValueError("omega class must have positive square")
+            raise NonPositiveSquare("omega class must have positive square")
 
     @property
     def omega_sq(self):
@@ -239,14 +241,16 @@ class MetricSample:
 def metric_at(chart: QuadricChart, theta: float, ybar) -> MetricSample:
     """Induced metric from exact differentiation of the chart map.
 
-    Raises NonFiniteMatrix when the metric is not finite, as when |ybar|^2
-    overflows.
+    Raises NonFiniteMatrix when the metric is not finite: before any array
+    work when 1 + |ybar|^2 overflows, else when the product does.
     """
     ybar = tuple(float(y) for y in ybar)
     k = len(chart.neg)
     if len(ybar) != k:
         raise ValueError(f"ybar must have length {k}")
     m = 1.0 + sum(y * y for y in ybar)
+    if not math.isfinite(m):
+        raise NonFiniteMatrix(f"metric is not finite: 1 + |ybar|^2 = {m}")
     root = math.sqrt(m)
     cos_t, sin_t = math.cos(theta), math.sin(theta)
 

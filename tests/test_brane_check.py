@@ -1,6 +1,7 @@
 """Brane-condition verification, the holomorphic-symplectic equivalence,
 and the deformation equations."""
 
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -386,6 +387,43 @@ class TestFiberWalk:
 floats = st.floats(-3, 3)
 seeds = st.integers(0, 2**32 - 1)
 ks = st.sampled_from([(1, 0, 0, 0), (0, 1, -1, 0), (1, 2, 0, -1)])
+
+
+def _assert_same_report(got, want):
+    """Field by field equal in value and type, NaN matching NaN."""
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert type(a) is type(b), field.name
+        assert a == b or (a != a and b != b), field.name
+
+
+class TestOneWalk:
+    """verify_brane(omega, f).hol_symp is verify_holomorphic_symplectic(f, omega)."""
+
+    @given(seed=seeds, scale=st.sampled_from([0, 1, Fraction(1, 3)]))
+    def test_constant_pairs(self, seed, scale):
+        rng = np.random.default_rng(seed)
+        omega, f, _ = random_brane_pair(rng)
+        f = f + scale * random_form2(rng)  # scale 0 keeps the brane
+        _assert_same_report(verify_brane(omega, f).hol_symp,
+                            verify_holomorphic_symplectic(f, omega))
+
+    @given(seed=seeds, k=ks, r=trig_polys, eps=st.sampled_from([0.0, 1e-3, 1.0]),
+           nan_slot=st.sampled_from([None, 0, 5]))
+    def test_trig_poly_fields(self, seed, k, r, eps, nan_slot):
+        omega, field = random_brane_field(np.random.default_rng(seed), k, r)
+        field = field + eps * r * TrigPolyForm2.from_constant(Form2(c12=1, c13=2))
+        if nan_slot is not None:
+            fns = [0] * 6
+            fns[nan_slot] = TrigPolyFn.mode(k, sin=float("nan"))
+            field = field + TrigPolyForm2.from_fns(fns)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(torus_forms, "CHUNK_POINTS", 37)  # divides no grid^4 here
+            got = verify_brane(omega, field, grid=4).hol_symp
+            want = verify_holomorphic_symplectic(field, omega, grid=4)
+        _assert_same_report(got, want)
+        if nan_slot is not None:
+            assert math.isnan(got.square_resid) and not got.passed
 
 
 def _float_omega(coeffs):

@@ -4,10 +4,11 @@ import csv
 import io
 import json
 import math
+from importlib import resources
 
 import pytest
 
-from branekit import cli
+from branekit import brane_check, cli, torus_forms
 from branekit.cli import main
 
 ZEROS = {"12": 0, "13": 0, "14": 0, "23": 0, "24": 0, "34": 0}
@@ -178,6 +179,21 @@ class TestMetric:
     def test_wrong_ybar_length_is_input_error(self, omega_file, f0_file):
         assert main(["metric", omega_file, f0_file, "--ybar", "1,2"]) == 2
 
+    def test_non_positive_omega_class_is_input_error(self, tmp_path):
+        # e6 has square -1 in the K3 lattice; this used to be a ValueError
+        # traceback
+        omega = write_json(
+            tmp_path / "omega_e6.json",
+            {"version": 1, "kind": "class", "space": "k3", "coeffs": [0] * 5 + [1] + [0] * 16},
+        )
+        base = write_json(
+            tmp_path / "base_k3.json",
+            {"version": 1, "kind": "class", "space": "k3", "coeffs": [0, 1] + [0] * 20},
+        )
+        out = tmp_path / "never.csv"
+        assert main(["metric", omega, base, "--space", "k3", "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestNijenhuis:
     def test_constant_brane(self, omega_file, f0_file, capsys):
@@ -247,9 +263,10 @@ class TestOptionRanges:
         assert code == 2
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_metric_is_input_error(self, omega_file, f0_file, tmp_path):
-        # finite coordinates whose square overflows give a NaN metric
+        # finite coordinates whose square overflows are refused before numpy
+        # computes (and warns about) a NaN metric
         out = tmp_path / "never.csv"
         assert main(["metric", omega_file, f0_file, "--ybar", "1e200,0,0", "--out", str(out)]) == 2
         assert not out.exists()
@@ -258,6 +275,23 @@ class TestOptionRanges:
         out = tmp_path / "zero_tol.json"
         assert main(["verify", omega_file, f0_file, "--tol", "0", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["pass"] is True
+
+
+class TestVerifyWalk:
+    def test_verify_walks_the_grid_once(self, monkeypatch, capsys):
+        walks = []
+
+        def counted(*args):
+            walks.append(args[0])
+            return torus_forms.fiber_blocks(*args)
+
+        monkeypatch.setattr(brane_check, "fiber_blocks", counted)
+        data = resources.files("branekit").joinpath("data")
+        args = [str(data / "omega0.json"), str(data / "rotation_k1000.json")]
+        assert main(["verify", *args, "--grid", "14", "--no-timestamp"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["checks_agree"] is True
+        assert walks == [14]
 
 
 class TestParser:

@@ -220,13 +220,19 @@ class TestMetric:
             g = 0.5 * (g + g.T)
             assert metric_at(chart, theta, ybar).g.tobytes() == g.tobytes()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf * 0 in the tangents
+    @pytest.mark.filterwarnings("error")  # refused before any inf * 0
     @pytest.mark.parametrize("ybar", [(1e200, 0, 0), (0, 1e155, 0)])
     def test_non_finite_metric_is_refused(self, ybar):
-        # |ybar|^2 or the circle coefficient overflows; the NaN metric used to
-        # reach eigvalsh and leak numpy's LinAlgError
+        # |ybar|^2 overflows; the NaN metric used to reach eigvalsh and leak
+        # numpy's LinAlgError
         with pytest.raises(NonFiniteMatrix):
             metric_at(torus_chart(), 0.3, ybar)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+    def test_metric_overflowing_in_the_product_is_refused(self):
+        # 1 + |ybar|^2 = 1e308 is finite; g_theta_theta = 2e308 is not
+        with pytest.raises(NonFiniteMatrix):
+            metric_at(torus_chart(), 0.3, (1e154, 0, 0))
 
     def test_flat_point(self):
         sample = metric_at(torus_chart(), 0.0, (0, 0, 0))
