@@ -140,22 +140,23 @@ def verify_brane(omega: Form2, f, grid: int = 8, tol: float = 1e-9) -> BraneRepo
     """
     check_omega(omega, tol)
     i_square_peak = _i_square_peak(omega, min(tol, 1e-12))
-    hs, orth, i_sq, low, grid_used = [], [], [], [], 0
+    hs, orth, i_sq, low = [], [], [], []
     for fc, oc in fiber_blocks(grid, f, omega):
         w_ff, w_fo, w_oo = wedge(fc, fc), wedge(fc, oc), wedge(oc, oc)
         hs.append(_hol_symp_block(w_ff, w_oo, w_fo))
         orth.append(_peak(w_fo))
         i_sq.append(i_square_peak(fc, w_ff, w_fo, w_oo))
         low.append(_low(w_ff))
-        grid_used += np.size(w_ff)
     # F^F - omega^omega is the real part of (F + i omega)^(F + i omega)
     r_sq, r_orth, r_i = max_abs(block[0] for block in hs), max_abs(orth), max_abs(i_sq)
     closed = _closedness_resid(f)
-    r_closed = float(closed) if isinstance(w_ff, np.ndarray) else closed  # grid: floats
+    sampled = isinstance(w_ff, np.ndarray)
+    r_closed = float(closed) if sampled else closed  # grid: floats
     orientation_ok = bool(_least(low) > 0)
     passed = (
         r_sq <= tol and r_orth <= tol and r_closed <= tol and r_i <= tol and orientation_ok
     )
+    grid_used = grid ** 4 if sampled else 1
     hol_symp = _hol_symp_report(hs, [closed, _closedness_resid(omega)], grid_used, tol)
     return BraneReport(
         r_sq, r_orth, r_closed, r_i, orientation_ok, passed, grid_used, tol, hol_symp
@@ -173,11 +174,11 @@ def verify_holomorphic_symplectic(
     re + i*omega with a constant omega, ``verify_brane(omega, re).hol_symp``
     gives the same report from the brane check's own walk.
     """
-    blocks, grid_used = [], 0
+    blocks = []
     for rc, ic in fiber_blocks(grid, re, im):
         w_ri = wedge(rc, ic)  # an array when either part is sampled
         blocks.append(_hol_symp_block(wedge(rc, rc), wedge(ic, ic), w_ri))
-        grid_used += np.size(w_ri)
+    grid_used = grid ** 4 if isinstance(w_ri, np.ndarray) else 1
     closed = [_closedness_resid(re), _closedness_resid(im)]
     return _hol_symp_report(blocks, closed, grid_used, tol)
 

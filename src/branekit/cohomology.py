@@ -172,7 +172,13 @@ def constant_form_of_class(c: CohClass) -> Form2:
 
 
 def signature(space_or_matrix, tol: float = 1e-9):
-    """(positive, negative) eigenvalue counts of a symmetric pairing.
+    """(positive, negative) eigenvalue counts of a symmetric pairing g.
+
+    The counts are taken on D g D with D = diag(|g_ii|^(-1/2)), and 1 where
+    g_ii = 0: by Sylvester's law of inertia that congruence keeps them, and
+    it brings every nonzero diagonal entry to +-1, so rescaling one
+    coordinate does not change them.  An eigenvalue of D g D counts when
+    its modulus exceeds tol * max(1, largest modulus).
 
     Raises NonFiniteMatrix when an entry is NaN or inf: such a matrix has no
     signature, and a NaN would otherwise count as neither sign.
@@ -183,7 +189,9 @@ def signature(space_or_matrix, tol: float = 1e-9):
         mat = np.asarray(space_or_matrix, dtype=float)
     if not np.isfinite(mat).all():
         raise NonFiniteMatrix("signature of a matrix with a NaN or infinite entry")
-    eig = np.linalg.eigvalsh(mat)
+    diag = np.abs(np.diagonal(mat))
+    d = 1 / np.sqrt(np.where(diag > 0, diag, 1.0))
+    eig = np.linalg.eigvalsh(d[:, None] * mat * d)
     scale = max(1.0, float(np.abs(eig).max()))
     pos = int((eig > tol * scale).sum())
     neg = int((eig < -tol * scale).sum())

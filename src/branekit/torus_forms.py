@@ -15,6 +15,11 @@ is a sum over the same few frequencies (d_m of a mode (k, a, b) is
 table of the forms' distinct frequencies gives all their coefficient rows
 by two matrix products; the table is built in slices of frequencies no
 longer than the rows, so its memory is bounded by the samples it yields.
+A sample depends on the grid point idx only through the phases k . idx
+mod n, so when the frequencies span a lattice of rank r < 4 the n^4 grid
+points take the values of n^r of them: the walk visits one point per class
+of the grid modulo that lattice (:func:`_walk_points`), and the whole grid
+only at rank 4.
 
 The pointwise algebra of I = omega^{-1} o F (linear in F's coefficients,
 see :func:`i_basis`) runs on the grid as two constant tables in F, built
@@ -317,9 +322,9 @@ def check_omega(omega: Form2, tol):
         raise NonDegenerateRequired("omega is degenerate")
 
 
-#: grid points per block of :func:`fiber_blocks`: the work arrays follow the
-#: block (at most about 6.2 MiB at 4096 points, most of it the 144 products
-#: of :func:`nijenhuis_defect`), not the grid^4 points
+#: walked points per block of :func:`fiber_blocks`: the work arrays follow
+#: the block (at most about 6.2 MiB at 4096 points, most of it the 144
+#: products of :func:`nijenhuis_defect`), not the grid^r points walked
 CHUNK_POINTS = 4096
 
 
@@ -373,18 +378,75 @@ def _sample_block(block, tables, slots):
     return tuple(rows[s] if isinstance(s, slice) else s for s in slots)
 
 
+def _frequency_lattice(freqs):
+    """(u, r) for integer frequencies ``freqs`` (K, 4): u a unimodular
+    integer 4x4 matrix (a list of rows) with freqs @ u zero beyond column r,
+    and r the rank of ``freqs``.
+
+    A column echelon form by integer column operations (swaps and adding
+    integer multiples of one column to another), applied to freqs @ u and
+    u together: each row in turn has its columns r.. reduced by Euclid's
+    algorithm to one pivot, moved to column r.  Later operations only mix
+    columns past the pivots, so the rows done stay zero there.  The rows
+    are taken in sorted order, so u depends on the set of frequencies only.
+    """
+    au = sorted([int(v) for v in k] for k in freqs)
+    u = [[int(i == j) for j in range(4)] for i in range(4)]
+    r = 0
+    for row in au:
+        while r < 4:
+            live = [j for j in range(r, 4) if row[j]]
+            if not live:
+                break
+            p = min(live, key=lambda j: abs(row[j]))
+            for m in au + u:
+                m[r], m[p] = m[p], m[r]
+            if len(live) == 1:
+                r += 1
+                break
+            for j in range(r + 1, 4):
+                q = row[j] // row[r]
+                for m in au + u:
+                    m[j] -= q * m[r]
+    return u, r
+
+
+def _walk_points(grid, freqs):
+    """The points :func:`fiber_blocks` walks for integer frequencies ``freqs``.
+
+    With (u, r) of :func:`_frequency_lattice`, idx = u idx' is a bijection
+    of the grid indices (Z/grid)^4 and k . idx = (k u) . idx' depends on
+    idx'_1..r only, so every sample takes its values at the grid^r points
+    idx = u[:, :r] a mod grid, a in (Z/grid)^r (in that lexicographic order),
+    as floats of the same axis as :func:`uniform_grid`.  At rank 4 they are
+    ``uniform_grid(grid)`` itself.  A pivot sharing a factor with grid
+    leaves some classes walked more than once, which changes no maximum.
+    """
+    u, r = _frequency_lattice(freqs)
+    if r == 4:
+        return uniform_grid(grid)
+    axis = 2 * math.pi * np.arange(grid) / grid
+    a = np.indices((grid,) * r).reshape(r, grid ** r).T  # (Z/grid)^r in order
+    return axis[a @ (np.array(u)[:, :r].T % grid) % grid]
+
+
 def fiber_blocks(grid: int, *forms):
     """Sample ``forms`` (Form2 or trig-poly forms) fiber by fiber.
 
     When every form is constant, yields one block of their exact
-    coefficients.  Otherwise walks the grid of :func:`uniform_grid` in
-    blocks of CHUNK_POINTS points.  The distinct frequencies of all the
+    coefficients.  Otherwise walks the points of :func:`_walk_points`, one
+    per class of the grid of :func:`uniform_grid` modulo the lattice of the
+    forms' frequencies (grid^r points at rank r, the whole grid at rank 4),
+    in blocks of CHUNK_POINTS points.  Every sampled value is the one at its
+    grid point, and a class's other points differ from it only in how their
+    phases k . x round, so the maxima and minima over the walk are those
+    over the grid up to that rounding.  The distinct frequencies of all the
     non-constant forms are collected once per call; per block one cos/sin
-    table of them gives every coefficient row at once, and each non-constant
-    form gets its (rows, n) slice of that C-contiguous array.  The frequency
-    axis is walked in slices no longer than the rows, so the table never
-    outgrows the rows it produces.  A constant form gives its float
-    coefficients, which broadcast exactly as their grid values would.
+    table of them gives every coefficient row at once, and each
+    non-constant form gets its (rows, n) slice of that C-contiguous array.
+    The frequency axis is walked in slices no longer than the rows, so the
+    table never outgrows the rows it produces.  A constant form gives its
+    float coefficients, which broadcast exactly as their grid values would.
     """
     consts = [constant_coeffs(form) for form in forms]
     if all(c is not None for c in consts):
@@ -400,7 +462,7 @@ def fiber_blocks(grid: int, *forms):
         else:
             slots.append([float(v) for v in c])
     tables = _phase_tables(fns)
-    pts = uniform_grid(grid)
+    pts = _walk_points(grid, np.concatenate([freqs for freqs, _, _ in tables]))
     for start in range(0, len(pts), CHUNK_POINTS):
         # no local keeps the samples, so a caller's del frees them
         yield _sample_block(pts[start:start + CHUNK_POINTS], tables, slots)

@@ -44,18 +44,17 @@ def random_form2(rng, bound=3) -> Form2:
     return Form2.from_coeffs(tuple(int(v) for v in rng.integers(-bound, bound + 1, size=6)))
 
 
-def random_brane_field(rng, k, r):
-    """(omega, F): a trig-poly pointwise brane F for a pulled-back omega.
+def brane_field(k, r, p=None):
+    """(omega, F): a trig-poly pointwise brane F for omega0, pulled back by
+    the orientation-preserving integer map p when one is given.
 
     With c, s = cos, sin <k, x>, nu = e^{12} - e^{34} and any trig poly r,
     F = (c - r s) F0 + (s + r c) kappa + r nu has F ^ F = omega0 ^ omega0 and
     F ^ omega0 = 0 everywhere, and several modes per slot when r has them;
-    pulling omega0, F0, kappa and nu back by a random orientation-preserving
-    integer map keeps both identities.
+    pulling omega0, F0, kappa and nu back by p keeps both identities.
     """
-    p = random_int_gl4(rng)
     omega, f0, kahler, nu = (
-        pullback_form2(p, form)
+        form if p is None else pullback_form2(p, form)
         for form in (standard_symplectic(), standard_brane(), standard_kahler(),
                      Form2(c12=1, c34=-1))
     )
@@ -66,6 +65,18 @@ def random_brane_field(rng, k, r):
         + r * TrigPolyForm2.from_constant(nu)
     )
     return omega, f
+
+
+def random_brane_field(rng, k, r):
+    """:func:`brane_field` pulled back by a random orientation-preserving
+    integer map."""
+    return brane_field(k, r, random_int_gl4(rng))
+
+
+#: a trig poly on e_2, e_3 and e_4: the frequencies of
+#: ``brane_field((1, 0, 0, 0), R_234)`` span Z^4, so its walk is the whole grid
+R_234 = (TrigPolyFn.mode((0, 1, 0, 0), sin=1) + TrigPolyFn.mode((0, 0, 1, 0), cos=0.5)
+         + TrigPolyFn.mode((0, 0, 0, 1), sin=0.25))
 
 
 #: trig polys of one to three float modes, frequencies in [-2, 2]^4

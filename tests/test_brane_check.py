@@ -21,7 +21,7 @@ from branekit.brane_check import (
     verify_holomorphic_symplectic,
 )
 from branekit.cohomology import class_of_constant_form, constant_form_of_class, torus_space
-from branekit.errors import NonDegenerateRequired, NotAlmostComplex, NotSkew
+from branekit.errors import BranekitError, NonDegenerateRequired, NotAlmostComplex, NotSkew
 from branekit.exterior4 import (
     Form2,
     LinearMap4,
@@ -43,6 +43,7 @@ from branekit.torus_forms import (
     eval_at,
     exterior_d,
     i_basis,
+    nijenhuis_defect,
     rotation_family,
     standard_brane,
     standard_kahler,
@@ -50,7 +51,14 @@ from branekit.torus_forms import (
     uniform_grid,
 )
 
-from conftest import random_brane_field, random_brane_pair, random_form2, trig_polys
+from conftest import (
+    R_234,
+    brane_field,
+    random_brane_field,
+    random_brane_pair,
+    random_form2,
+    trig_polys,
+)
 
 W0 = standard_symplectic()
 F0 = standard_brane()
@@ -293,8 +301,8 @@ class TestBraneCircle:
 
 
 def _bumped(form):
-    """(1 + sin x1) form: its residuals peak at x1 = pi/2, which on the grid
-    of 8 points per axis lies past the first 1000 points."""
+    """(1 + sin x1) form: its residuals peak at x1 = pi/2, the third of the 8
+    points walked on the grid of 8 points per axis."""
     bump = TrigPolyFn.constant(1) + TrigPolyFn.mode((1, 0, 0, 0), sin=1)
     return bump * TrigPolyForm2.from_constant(form)
 
@@ -332,7 +340,7 @@ class TestFiberWalk:
         whole = reports()
         assert whole[-2:] == (True, False)
         assert whole[0].wedge_square_resid > 1
-        monkeypatch.setattr(torus_forms, "CHUNK_POINTS", 1000)
+        monkeypatch.setattr(torus_forms, "CHUNK_POINTS", 2)  # the peak is in block 2
         assert reports() == whole
 
     def test_i_basis_is_built_once_per_gridded_call(self, monkeypatch):
@@ -344,7 +352,7 @@ class TestFiberWalk:
 
         monkeypatch.setattr(brane_check, "i_basis", counted)
         monkeypatch.setattr(torus_forms, "CHUNK_POINTS", 1000)
-        rot = rotation_family((1, 0, 0, 0))
+        _, rot = brane_field((1, 0, 0, 0), R_234)  # frequency rank 4
         alpha = _closed_11(TrigPolyFn.mode((1, 0, 2, 0), cos=1))
         verify_brane(W0, rot)  # 5 blocks
         linearized_deformation_check(W0, rot, alpha)
@@ -372,7 +380,7 @@ class TestFiberWalk:
         lambda f: verify_holomorphic_symplectic(f, W0, grid=24),
     ])
     def test_peak_memory_is_bounded_at_grid_24(self, check):
-        rot = rotation_family((1, 0, 0, 0))
+        _, rot = brane_field((1, 0, 0, 0), R_234)  # frequency rank 4: all 24^4 points
         check(rotation_family((0, 1, 0, 0)))  # first-call allocations
         tracemalloc.start()
         try:
@@ -513,8 +521,88 @@ class TestClosedFormISquare:
 
         monkeypatch.setattr(brane_check, "i_basis", spied)
         monkeypatch.setattr(torus_forms, "CHUNK_POINTS", 1000)
-        rot = rotation_family((1, 0, 0, 0))
+        _, rot = brane_field((1, 0, 0, 0), R_234)  # frequency rank 4
         verify_brane(W0, rot)  # 5 blocks
         linearized_deformation_check(W0, rot, _closed_11(TrigPolyFn.mode((1, 0, 2, 0), cos=1)))
         assert (16, 1000) in shapes
         assert not [s for s in shapes if len(s) == 3 and s[1:] == (4, 4)]
+
+
+#: generators of frequency lattices of rank 1 to 4; (2, 0, 0, 0), (0, 2, 0, 2)
+#: and (0, 0, 2, 0) share the factor 2 with the even grids
+LATTICES = [
+    [(1, 2, 0, -1)],
+    [(2, 0, 0, 0)],
+    [(1, 0, 0, 0), (0, 1, -1, 0)],
+    [(1, 1, 0, 0), (0, 2, 0, 2)],
+    [(1, 0, 0, 0), (0, 1, -1, 0), (0, 0, 1, 1)],
+    [(0, 3, 1, 0), (1, 0, 0, 2), (2, 1, 1, -1)],
+    [(1, -1, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)],
+    [(2, 0, 0, 0), (0, 1, 1, 0), (0, 0, 2, 0), (1, 0, 0, 3)],
+]
+
+
+def _gridded_reports(omega, field, alpha, grid):
+    """Every gridded check on (omega, field, alpha); an error raised by one
+    stands for its result."""
+    def outcome(check, *args):
+        try:
+            return check(*args, grid=grid)
+        except BranekitError as exc:
+            return type(exc)
+
+    return [
+        outcome(verify_brane, omega, field),
+        outcome(verify_holomorphic_symplectic, field, omega),
+        outcome(verify_holomorphic_symplectic, alpha, field),
+        outcome(nijenhuis_defect, omega, field),
+        outcome(deformation_residuals, omega, field, alpha),
+        outcome(linearized_deformation_check, omega, field, alpha),
+    ]
+
+
+def _assert_close(got, want, scale):
+    """Equal in type; floats within 1e-12 * scale, NaN matching NaN; the
+    rest (verdicts, grid_used, errors) equal."""
+    assert type(got) is type(want)
+    if dataclasses.is_dataclass(want):
+        for field in dataclasses.fields(want):
+            _assert_close(getattr(got, field.name), getattr(want, field.name), scale)
+    elif isinstance(want, tuple):
+        for a, b in zip(got, want, strict=True):
+            _assert_close(a, b, scale)
+    elif isinstance(want, float):
+        assert (got != got and want != want) or abs(got - want) <= 1e-12 * scale
+    else:
+        assert got == want
+
+
+class TestQuotientWalk:
+    """Each gridded check on the walk of grid^r points against the same
+    check walked over the whole grid."""
+
+    @given(seed=seeds, gens=st.sampled_from(LATTICES), grid=st.integers(2, 5),
+           coeffs=st.lists(floats, min_size=8, max_size=8),
+           eps=st.sampled_from([0.0, 1e-3, 1.0]), nan_slot=st.sampled_from([None, 0, 5]))
+    def test_matches_the_whole_grid(self, seed, gens, grid, coeffs, eps, nan_slot):
+        k0, k1 = gens[0], gens[-1]
+        r = sum((TrigPolyFn.mode(k, cos=a, sin=b)
+                 for k, a, b in zip(gens, coeffs[::2], coeffs[1::2])), TrigPolyFn.zero())
+        r = r + TrigPolyFn.mode(tuple(a + b for a, b in zip(k0, k1)), cos=coeffs[-1])
+        omega, field = random_brane_field(np.random.default_rng(seed), k0, r)
+        field = field + eps * r * TrigPolyForm2.from_constant(Form2(c12=1, c13=2))
+        alpha = exterior_d(TrigPolyForm1.from_fns(
+            [TrigPolyFn.mode(k1, cos=coeffs[0]), 0, TrigPolyFn.mode(k0, sin=coeffs[1]), 0]))
+        norm = max(fn.coefficient_norm() for fn in field.c + alpha.c)
+        scale = (1 + norm) ** 2 * (1 + 4 * norm) * (1 + np.abs(i_basis(omega)).max()) ** 2
+        if nan_slot is not None:
+            fns = [0] * 6
+            fns[nan_slot] = TrigPolyFn.mode(k1, sin=float("nan"))
+            field = field + TrigPolyForm2.from_fns(fns)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(torus_forms, "CHUNK_POINTS", 37)  # divides no grid^4 here
+            got = _gridded_reports(omega, field, alpha, grid)
+            mp.setattr(torus_forms, "_walk_points", lambda grid, freqs: uniform_grid(grid))
+            want = _gridded_reports(omega, field, alpha, grid)
+        for a, b in zip(got, want, strict=True):
+            _assert_close(a, b, scale)

@@ -150,6 +150,14 @@ class TestMetric:
         assert abs(float(row["g_theta_theta"]) - 4.0) <= 1e-12
         assert abs(float(row["circle_ratio"]) - math.sqrt(2)) <= 1e-12
 
+    @pytest.mark.parametrize("ybar", ["1000,0,0", "100000,0,0"])
+    def test_large_ybar_keeps_the_signature(self, omega_file, f0_file, capsys, ybar):
+        # the chart metric is (1, 3) for every ybar; these read (1, 2) and
+        # (1, 0) while the tol scaled with g_theta_theta = (1 + |ybar|^2) s
+        assert main(["metric", omega_file, f0_file, "--ybar", ybar, "--no-timestamp"]) == 0
+        row = next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert (int(row["sig_pos"]), int(row["sig_neg"])) == (1, 3)
+
     def test_sweep_signatures(self, omega_file, f0_file, capsys):
         assert main(
             ["metric", omega_file, f0_file, "--sweep", "50", "--seed", "1", "--no-timestamp"]
@@ -292,6 +300,37 @@ class TestVerifyWalk:
         report = json.loads(capsys.readouterr().out)
         assert report["checks_agree"] is True
         assert walks == [14]
+
+    def test_rank_one_forms_walk_one_point_per_class(self, monkeypatch, capsys):
+        # rotation_k1000's frequencies span the lattice Z (1, 0, 0, 0): its
+        # values on the grid^4 points are those on grid of them
+        sampled = []
+
+        def spied(block, *args):
+            sampled.append(len(block))
+            return sample_block(block, *args)
+
+        sample_block = torus_forms._sample_block
+        monkeypatch.setattr(torus_forms, "_sample_block", spied)
+        data = resources.files("branekit").joinpath("data")
+        args = [str(data / "omega0.json"), str(data / "rotation_k1000.json")]
+        assert main(["verify", *args, "--grid", "14", "--no-timestamp"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["residuals"]["brane"]["grid_used"] == 14 ** 4
+        assert sum(sampled) == 14
+        sampled.clear()
+        assert main(["nijenhuis", *args, "--grid", "10", "--no-timestamp"]) == 0
+        assert sum(sampled) == 10
+
+    def test_huge_grid_on_a_rank_one_form_completes(self, capsys):
+        # the whole grid would be 10^20 points; the walk is 10^5
+        data = resources.files("branekit").joinpath("data")
+        args = [str(data / "omega0.json"), str(data / "rotation_k1000.json")]
+        assert main(["verify", *args, "--grid", "100000", "--no-timestamp"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["residuals"]["brane"]["grid_used"] == 10 ** 20
+        assert report["pass"] is False and report["residuals"]["brane"]["closedness_resid"] > 0
+        assert report["checks_agree"] is True
 
 
 class TestParser:

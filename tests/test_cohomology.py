@@ -144,6 +144,17 @@ class TestSpaces:
                     break
             assert signature(q.T @ mat @ q) == (3, 3)
 
+    def test_signature_does_not_depend_on_the_diagonal_scale(self):
+        # the chart metric of omega0, f0 at ybar (1e5, 0, 0), rounded: a
+        # tol scaled by the largest eigenvalue (2e10) dropped all three -2s
+        assert signature(np.diag([2e10, -2e-10, -2.0, -2.0])) == (1, 3)
+        # any diagonal congruence of a matrix with nonzero diagonal
+        rng = np.random.default_rng(5)
+        mat = np.diag([1.0, 1.0, -1.0, -1.0, -1.0]) + 0.1 * np.ones((5, 5))
+        for _ in range(10):
+            d = 10.0 ** rng.uniform(-6, 6, size=5)
+            assert signature(d[:, None] * mat * d) == signature(mat) == (2, 3)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_matrix_has_no_signature(self, bad):
         # a NaN eigenvalue counts as neither sign, so it read as (0, 0)

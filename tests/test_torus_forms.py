@@ -35,7 +35,7 @@ from branekit.torus_forms import (
     wedge_density,
 )
 
-from conftest import random_brane_field, trig_polys
+from conftest import R_234, brane_field, random_brane_field, trig_polys
 
 W0 = standard_symplectic()
 F0 = standard_brane()
@@ -223,6 +223,12 @@ def _many_modes(count):
     return TrigPolyForm2(tuple(slots))
 
 
+def _frequencies(*forms):
+    """The distinct frequencies of the trig-poly forms among ``forms``."""
+    return sorted({k for form in forms if not isinstance(form, Form2)
+                   for fn in form.c for k, _, _ in fn.modes})
+
+
 #: up to three modes per slot, their frequencies often shared between slots
 modes = st.lists(
     st.tuples(
@@ -234,6 +240,47 @@ modes = st.lists(
 )
 
 
+def _det(m):
+    """The exact determinant of a square integer matrix, over permutations."""
+    total = 0
+    for perm in itertools.permutations(range(len(m))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        total += (-1) ** inversions * math.prod(m[i][j] for i, j in enumerate(perm))
+    return total
+
+
+frequency_lists = st.lists(st.tuples(*[st.integers(-3, 3)] * 4), min_size=1, max_size=6)
+
+
+class TestQuotientWalk:
+    @given(frequency_lists)
+    def test_column_echelon_form(self, freqs):
+        u, r = torus_forms._frequency_lattice(freqs)
+        assert all(type(v) is int for row in u for v in row)
+        assert abs(_det(u)) == 1
+        for k in freqs:
+            ku = [sum(k[i] * u[i][j] for i in range(4)) for j in range(4)]
+            assert ku[r:] == [0] * (4 - r)
+        assert r == np.linalg.matrix_rank(np.array(freqs))
+
+    @given(frequency_lists, st.integers(1, 6))
+    def test_walk_meets_every_class_of_the_grid(self, freqs, grid):
+        """Each grid point has a walked point with the same phases k . idx
+        mod grid for every k, and the walk has grid^r points."""
+        k = np.array(freqs)
+        r = np.linalg.matrix_rank(k)
+        pts = torus_forms._walk_points(grid, freqs)
+        assert pts.shape == (grid ** r, 4) and pts.flags.c_contiguous
+        idx = np.rint(pts * grid / (2 * math.pi)).astype(int)
+        axis = 2 * math.pi * np.arange(grid) / grid
+        assert np.array_equal(axis[idx], pts)  # coordinates of the grid itself
+        walked = {tuple(row) for row in idx @ k.T % grid}
+        every = {tuple(row) for row in np.indices((grid,) * 4).reshape(4, -1).T @ k.T % grid}
+        assert walked == every
+        if r == 4:
+            assert np.array_equal(pts, uniform_grid(grid))
+
+
 class TestFiberBlocks:
     def test_constant_forms_give_one_exact_block(self):
         kappa = TrigPolyForm2.from_constant(KAPPA)
@@ -243,9 +290,15 @@ class TestFiberBlocks:
 
     def test_constant_floats_equal_grid_values_bit_for_bit(self, monkeypatch):
         monkeypatch.setattr(torus_forms, "CHUNK_POINTS", 1000)
-        rot = rotation_family((1, 2, 0, 0))
+        # one mode per slot, whose frequencies span Z^4
+        rot = TrigPolyForm2.from_fns([
+            TrigPolyFn.mode((1, 2, 0, 0), cos=1), TrigPolyFn.mode((0, 1, -1, 1), sin=1),
+            TrigPolyFn.mode((0, 0, 1, 0), cos=1), TrigPolyFn.mode((0, 0, 0, 2), sin=1),
+            TrigPolyFn.mode((1, 2, 0, 0), sin=1), 0,
+        ])
         third_f0 = TrigPolyForm2.from_constant(Fraction(1, 3) * F0)
-        pts = uniform_grid(6)
+        pts = torus_forms._walk_points(6, _frequencies(rot))
+        assert np.array_equal(pts, uniform_grid(6))  # rank 4: 6^4 points, 2 blocks
         start = 0
         for rot_rows, const, omega in fiber_blocks(6, rot, third_f0, W0):
             block = pts[start:start + 1000]
@@ -277,7 +330,10 @@ class TestFiberBlocks:
         )
         assume(constant_coeffs(f) is None)
         forms = (f, W0, exterior_d(f), TrigPolyForm2.from_constant(KAPPA), g)
-        pts = uniform_grid(grid)
+        freqs = _frequencies(*forms)
+        pts = torus_forms._walk_points(grid, freqs)
+        if torus_forms._frequency_lattice(freqs)[1] == 4:
+            assert np.array_equal(pts, uniform_grid(grid))
         start = 0
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(torus_forms, "CHUNK_POINTS", 37)  # divides no grid^4 here
@@ -428,19 +484,19 @@ class TestNijenhuisDefect:
 
     def test_result_does_not_depend_on_chunk_size(self, monkeypatch):
         f = _varying_defect_family()
-        n_points = 8 ** 4
+        n_points = 8 ** 2  # frequency rank 2
         results = []
-        for chunk in (1000, n_points, 10 * n_points):
+        for chunk in (1, n_points, 10 * n_points):
             monkeypatch.setattr(torus_forms, "CHUNK_POINTS", chunk)
             results.append(nijenhuis_defect(W0, f, grid=8))
-        # the largest defect lies at x1 = pi/2, past the first 1000 points
+        # the largest defect lies at x1 = pi/2, past the first point
         assert results[0][0] > 3.0
         for defect, max_df in results[1:]:
             assert abs(defect - results[0][0]) <= 1e-14
             assert abs(max_df - results[0][1]) <= 1e-14
 
     def test_peak_memory_is_bounded_at_grid_16(self):
-        rot = rotation_family((1, 0, 0, 0))
+        _, rot = brane_field((1, 0, 0, 0), R_234)  # frequency rank 4: all 16^4 points
         nijenhuis_defect(W0, rot, grid=2)  # import-time and first-call allocations
         tracemalloc.start()
         try:
@@ -562,7 +618,8 @@ class TestNijenhuisTable:
         nijenhuis_tensor = torus_forms._nijenhuis_tensor
         monkeypatch.setattr(torus_forms, "_nijenhuis_tensor", counted)
         monkeypatch.setattr(torus_forms, "CHUNK_POINTS", 1000)
-        defect, _ = nijenhuis_defect(W0, rotation_family((1, -1, 0, 1)), grid=8)  # 5 blocks
+        _, f = brane_field((1, -1, 0, 1), R_234)  # frequency rank 4
+        defect, _ = nijenhuis_defect(W0, f, grid=8)  # 5 blocks
         assert defect > 0.1 and len(calls) <= 1
 
     def test_nan_mode_raises(self):
