@@ -31,10 +31,10 @@ from .exterior4 import (
     is_exact,
     matrix_of_form2,
     max_abs,
-    square_resid,
     wedge,
 )
-from .torus_forms import check_omega, closed_i_square_resid, exterior_d, fiber_blocks, i_basis
+from .torus_forms import (check_omega, closed_i_square_resid, constant_coeffs, exterior_d,
+                          fiber_blocks, i_basis)
 
 
 @dataclass(frozen=True)
@@ -109,23 +109,13 @@ def _hol_symp_report(blocks, closed, grid_used, tol) -> HolSympReport:
     return HolSympReport(positivity_min, square_resid, closed_resid, passed, grid_used, tol)
 
 
-def _i_square_peak(omega, tol):
-    """max |I^2 + Id| over a block of F's rows, as a function of the rows and
-    the block's wedges F^F, F^omega and omega^omega: exactly by compose_i at
-    one fiber; on the grid by the closed form 2c I + (1 - r) Id of
-    :func:`closed_i_square_resid`, where the first block builds the one
-    i_basis of the call; NonDegenerateRequired when pf(omega)^2 <= tol."""
-    basis = None
-
-    def peak(rows, w_ff, w_fo, w_oo):
-        nonlocal basis
-        if not isinstance(rows, np.ndarray):
-            return square_resid(compose_i(omega, Form2.from_coeffs(rows), tol))
-        if basis is None:
-            basis = i_basis(omega, tol)
-        return closed_i_square_resid(basis, rows, w_ff, w_fo, w_oo)
-
-    return peak
+def _i_entries(omega, basis, f_rows, tol):
+    """I's 16 row-major entries on a block of F's rows: ``basis.T @ f_rows``
+    on the grid, the exact entries of compose_i for a constant F (basis
+    None); NonDegenerateRequired when pf(omega)^2 <= tol."""
+    if basis is None:
+        return [e for row in compose_i(omega, Form2.from_coeffs(f_rows), tol).m for e in row]
+    return basis.T @ f_rows
 
 
 def verify_brane(omega: Form2, f, grid: int = 8, tol: float = 1e-9) -> BraneReport:
@@ -139,13 +129,14 @@ def verify_brane(omega: Form2, f, grid: int = 8, tol: float = 1e-9) -> BraneRepo
     ``verify_holomorphic_symplectic(f, omega, grid, tol)``.
     """
     check_omega(omega, tol)
-    i_square_peak = _i_square_peak(omega, min(tol, 1e-12))
+    i_tol = min(tol, 1e-12)
+    basis = None if constant_coeffs(f) is not None else i_basis(omega, i_tol)
     hs, orth, i_sq, low = [], [], [], []
     for fc, oc in fiber_blocks(grid, f, omega):
         w_ff, w_fo, w_oo = wedge(fc, fc), wedge(fc, oc), wedge(oc, oc)
         hs.append(_hol_symp_block(w_ff, w_oo, w_fo))
         orth.append(_peak(w_fo))
-        i_sq.append(i_square_peak(fc, w_ff, w_fo, w_oo))
+        i_sq.append(closed_i_square_resid(_i_entries(omega, basis, fc, i_tol), w_ff, w_fo, w_oo))
         low.append(_low(w_ff))
     # F^F - omega^omega is the real part of (F + i omega)^(F + i omega)
     r_sq, r_orth, r_i = max_abs(block[0] for block in hs), max_abs(orth), max_abs(i_sq)
@@ -247,11 +238,14 @@ def linearized_deformation_check(
     """
     if _closedness_resid(alpha) > tol:
         return False
-    i_square_peak, peaks = _i_square_peak(omega, 1e-12), []
+    # i_basis, or compose_i at one fiber, raises NonDegenerateRequired for a
+    # degenerate omega, whatever F is
+    basis = None if constant_coeffs(f) is not None else i_basis(omega, 1e-12)
+    peaks = []
     for fc, ac, oc in fiber_blocks(grid, f, alpha, omega):
         vol = wedge(oc, oc)
-        # raises NonDegenerateRequired for a degenerate omega, whatever F is
-        if not i_square_peak(fc, wedge(fc, fc), wedge(fc, oc), vol) <= max(tol, 1e-9):
+        entries = _i_entries(omega, basis, fc, 1e-12)
+        if not closed_i_square_resid(entries, wedge(fc, fc), wedge(fc, oc), vol) <= max(tol, 1e-9):
             raise NotAlmostComplex("type projection needs I*I = -Id")
         w_f, w_o = wedge(ac, fc), wedge(ac, oc)
         peaks += [_peak(exact_div(w_f * x + w_o * y, vol)) for x, y in zip(fc, oc)]

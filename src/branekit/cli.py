@@ -39,6 +39,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import fields
 from importlib import resources
 
 import numpy as np
@@ -66,6 +67,7 @@ from .period_domain import (
 from .torus_forms import (
     TrigPolyFn,
     TrigPolyForm2,
+    _canonical_modes,
     constant_coeffs,
     integrability_identity_residual,
     nijenhuis_defect,
@@ -96,9 +98,12 @@ def _require(cond, message):
 def _check_number(value, where):
     _require(isinstance(value, (int, float)) and not isinstance(value, bool),
              f"{where}: expected a number, got {value!r}")
-    # json.load accepts the NaN and Infinity literals; ints are always finite
-    _require(isinstance(value, int) or math.isfinite(value),
-             f"{where}: expected a finite number, got {value!r}")
+    # json.load accepts the NaN and Infinity literals, and ints of any size
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int beyond the largest float
+        finite = False
+    _require(finite, f"{where}: expected a finite number, got {value!r}")
     return value
 
 
@@ -117,7 +122,7 @@ def _parse_form(doc, path):
         for key in _SLOT_KEYS:
             modes = coeffs[key]
             _require(isinstance(modes, list), f"{path}: coeffs[{key}] must be a list of modes")
-            fn = TrigPolyFn.zero()
+            raw = []
             for mode in modes:
                 _require(isinstance(mode, dict), f"{path}: mode entries must be objects")
                 k = mode.get("k")
@@ -125,12 +130,13 @@ def _parse_form(doc, path):
                     isinstance(k, list) and len(k) == 4 and all(isinstance(i, int) for i in k),
                     f"{path}: mode key 'k' must be a list of 4 integers",
                 )
-                fn = fn + TrigPolyFn.mode(
-                    tuple(k),
-                    cos=_check_number(mode.get("cos", 0), f"{path}: cos"),
-                    sin=_check_number(mode.get("sin", 0), f"{path}: sin"),
-                )
-            fns.append(fn)
+                raw.append((
+                    k,
+                    _check_number(mode.get("cos", 0), f"{path}: cos"),
+                    _check_number(mode.get("sin", 0), f"{path}: sin"),
+                ))
+            # one canonicalization per slot sums duplicate frequencies left to right
+            fns.append(TrigPolyFn(_canonical_modes(raw)))
         return TrigPolyForm2.from_fns(fns)
     raise SchemaError(f"{path}: unknown kind {kind!r}")
 
@@ -177,16 +183,9 @@ def _finish_report(report, args):
     _emit(text + "\n", args.out)
 
 
-def _brane_report_dict(rep):
-    return {
-        "wedge_square_resid": _num(rep.wedge_square_resid),
-        "wedge_orth_resid": _num(rep.wedge_orth_resid),
-        "closedness_resid": _num(rep.closedness_resid),
-        "i_square_resid": _num(rep.i_square_resid),
-        "orientation_ok": rep.orientation_ok,
-        "passed": rep.passed,
-        "grid_used": rep.grid_used,
-    }
+def _report_dict(rep, *skip):
+    """The fields of a report dataclass, less ``skip``, as JSON scalars."""
+    return {f.name: _num(getattr(rep, f.name)) for f in fields(rep) if f.name not in skip}
 
 
 # --- commands ---------------------------------------------------------------
@@ -204,13 +203,8 @@ def cmd_verify(args):
         "grid": args.grid,
         "tolerances": {"tol": args.tol},
         "residuals": {
-            "brane": _brane_report_dict(sb),
-            "holomorphic_symplectic": {
-                "positivity_min": _num(hs.positivity_min),
-                "square_resid": _num(hs.square_resid),
-                "closedness_resid": _num(hs.closedness_resid),
-                "passed": hs.passed,
-            },
+            "brane": _report_dict(sb, "tol", "hol_symp"),
+            "holomorphic_symplectic": _report_dict(hs, "grid_used", "tol"),
         },
         "checks_agree": sb.passed == hs.passed,
         "pass": sb.passed,
@@ -220,14 +214,7 @@ def cmd_verify(args):
 
 
 def cmd_quadric(args):
-    omega = _parse_constant_form(_load_json(args.omega_file), args.omega_file)
-    base_form = _parse_constant_form(_load_json(args.base_file), args.base_file)
-    base_report = verify_brane(omega, base_form, tol=args.tol)
-    if not base_report.passed:
-        raise SchemaError("base form is not a brane for the given symplectic form")
-    space = torus_space()
-    q = QuadricSpec(space, class_of_constant_form(omega, space))
-    chart = build_chart(q, class_of_constant_form(base_form, space), tol=args.tol)
+    chart = _t4_chart(args)
     rng = np.random.default_rng(args.seed)
     rows = []
     all_pass = True
@@ -235,7 +222,7 @@ def cmd_quadric(args):
         theta = float(rng.uniform(0.0, 2.0 * math.pi))
         ybar = tuple(float(v) for v in rng.normal(size=len(chart.neg)))
         cls = chart_point(chart, theta, ybar)
-        form, rep = reconstruct_brane(q, cls, tol=max(args.tol, 1e-12))
+        form, rep = reconstruct_brane(chart.spec, cls, tol=max(args.tol, 1e-12))
         all_pass = all_pass and rep.passed
         rows.append(
             {
@@ -259,21 +246,24 @@ def cmd_quadric(args):
     return 0 if all_pass else 1
 
 
+def _t4_chart(args):
+    """The T^4 chart at the base form's class, once the base is a brane."""
+    omega = _parse_constant_form(_load_json(args.omega_file), args.omega_file)
+    base_form = _parse_constant_form(_load_json(args.base_file), args.base_file)
+    if not verify_brane(omega, base_form, tol=args.tol).passed:
+        raise SchemaError("base form is not a brane for the given symplectic form")
+    space = torus_space()
+    q = QuadricSpec(space, class_of_constant_form(omega, space))
+    return build_chart(q, class_of_constant_form(base_form, space), tol=args.tol)
+
+
 def _metric_chart(args):
     if args.space == "t4":
-        omega = _parse_constant_form(_load_json(args.omega_file), args.omega_file)
-        base_form = _parse_constant_form(_load_json(args.base_file), args.base_file)
-        if not verify_brane(omega, base_form, tol=args.tol).passed:
-            raise SchemaError("base form is not a brane for the given symplectic form")
-        space = torus_space()
-        omega_class = class_of_constant_form(omega, space)
-        base_class = class_of_constant_form(base_form, space)
-    else:
-        space = k3_space()
-        omega_class = _parse_class(_load_json(args.omega_file), args.omega_file, space)
-        base_class = _parse_class(_load_json(args.base_file), args.base_file, space)
-    q = QuadricSpec(space, omega_class)
-    return build_chart(q, base_class, tol=args.tol)
+        return _t4_chart(args)
+    space = k3_space()
+    omega_class = _parse_class(_load_json(args.omega_file), args.omega_file, space)
+    base_class = _parse_class(_load_json(args.base_file), args.base_file, space)
+    return build_chart(QuadricSpec(space, omega_class), base_class, tol=args.tol)
 
 
 def cmd_metric(args):
@@ -360,22 +350,16 @@ def _fixture(name):
 
 def cmd_example_torus(args):
     """Run the standard torus example end to end from the bundled fixtures."""
-    omega = _parse_form(json.loads(_fixture("omega0.json").read_text()), "omega0.json")
-    f0 = _parse_form(json.loads(_fixture("f0.json").read_text()), "f0.json")
-    kappa = _parse_form(json.loads(_fixture("kappa.json").read_text()), "kappa.json")
-    rotation = _parse_form(
-        json.loads(_fixture("rotation_k1000.json").read_text()), "rotation_k1000.json"
+    omega, f0, kappa, rotation = (
+        _parse_form(json.loads(_fixture(name).read_text()), name)
+        for name in ("omega0.json", "f0.json", "kappa.json", "rotation_k1000.json")
     )
 
-    checks = {}
     notes = []
-
-    rep_f0 = verify_brane(omega, f0, tol=args.tol)
-    rep_kappa = verify_brane(omega, kappa, tol=args.tol)
-    rep_rot = verify_brane(omega, rotation, grid=args.grid, tol=args.tol)
-    checks["brane_f0"] = _brane_report_dict(rep_f0)
-    checks["brane_kappa"] = _brane_report_dict(rep_kappa)
-    checks["brane_rotation"] = _brane_report_dict(rep_rot)
+    # the grid reaches only the rotation: constant forms are checked at one fiber
+    reps = {name: verify_brane(omega, form, grid=args.grid, tol=args.tol)
+            for name, form in (("f0", f0), ("kappa", kappa), ("rotation", rotation))}
+    checks = {f"brane_{name}": _report_dict(rep, "tol", "hol_symp") for name, rep in reps.items()}
 
     space = torus_space()
     q = QuadricSpec(space, class_of_constant_form(omega, space))
@@ -427,10 +411,10 @@ def cmd_example_torus(args):
     checks["normal_form_squares"] = list(normal.squares)
 
     ok = (
-        rep_f0.passed
-        and rep_kappa.passed
-        and (not rep_rot.passed)
-        and rep_rot.closedness_resid > 0.5
+        reps["f0"].passed
+        and reps["kappa"].passed
+        and (not reps["rotation"].passed)
+        and reps["rotation"].closedness_resid > 0.5
         and residuals == (0, 0)
         and alt == -6
         and abs(ratio - math.sqrt(2)) < 1e-12

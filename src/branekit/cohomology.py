@@ -219,6 +219,16 @@ def _scale_to(v: CohClass, ratio):
     return float(np.sqrt(float(ratio))) * v
 
 
+def project_off(v: CohClass, basis):
+    """Remove the components of v along pairwise-orthogonal (w, w.w) pairs."""
+    for w, w_sq in basis:
+        coef = v.pair(w)
+        if coef == 0:
+            continue
+        v = v - exact_div(coef, w_sq) * w
+    return v
+
+
 def indefinite_gram_schmidt(vectors, target_squares, tol: float = 1e-9):
     """Orthogonalise ``vectors`` against the (indefinite) pairing and scale
     each output to the prescribed square.
@@ -232,12 +242,7 @@ def indefinite_gram_schmidt(vectors, target_squares, tol: float = 1e-9):
         raise ValueError("need one target square per vector")
     out = []
     for v, target in zip(vectors, target_squares):
-        u = v
-        for w in out:
-            coef = u.pair(w)
-            if coef == 0:
-                continue
-            u = u - exact_div(coef, w.pair(w)) * w
+        u = project_off(v, [(w, w.pair(w)) for w in out])
         sq = u.pair(u)
         if not abs(sq) > tol:  # a NaN square is degenerate too
             raise DegenerateSubspace(f"pivot square {sq} below tolerance")

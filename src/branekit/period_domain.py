@@ -28,6 +28,7 @@ from .cohomology import (
     constant_form_of_class,
     indefinite_gram_schmidt,
     nullspace_exact,
+    project_off,
     signature,
     standard_basis,
     torus_space,
@@ -111,16 +112,6 @@ def _standard_candidates(space: IntersectionSpace):
         yield singles[i] - singles[j]
 
 
-def _project_off(v: CohClass, basis):
-    """Remove the components of v along pairwise-orthogonal basis members."""
-    for w, w_sq in basis:
-        coef = v.pair(w)
-        if coef == 0:
-            continue
-        v = v - exact_div(coef, w_sq) * w
-    return v
-
-
 def _positive_direction(q, accepted, candidates, tol_eff):
     """The positive direction of the orthocomplement of ``accepted``.
 
@@ -135,7 +126,7 @@ def _positive_direction(q, accepted, candidates, tol_eff):
     for cand in candidates:
         if len(basis) == dim - 2:
             break
-        u = _project_off(cand, accepted)
+        u = project_off(cand, accepted)
         arr = u.array()
         stacked = np.vstack([coords, arr])
         if np.linalg.matrix_rank(stacked, tol=1e-9) > len(basis):
@@ -174,7 +165,7 @@ def build_chart(q: QuadricSpec, base: CohClass, tol: float = 1e-9) -> QuadricCha
 
     b = None
     for cand in _standard_candidates(q.space):
-        u = _project_off(cand, accepted)
+        u = project_off(cand, accepted)
         u_sq = u.pair(u)
         if u_sq > tol_eff:
             b = indefinite_gram_schmidt([u], [s], tol=tol_eff)[0]
@@ -189,7 +180,7 @@ def build_chart(q: QuadricSpec, base: CohClass, tol: float = 1e-9) -> QuadricCha
     for cand in _standard_candidates(q.space):
         if len(neg) == want:
             break
-        u = _project_off(cand, accepted)
+        u = project_off(cand, accepted)
         u_sq = u.pair(u)
         if u_sq < -tol_eff:
             n = indefinite_gram_schmidt([u], [-s], tol=tol_eff)[0]

@@ -25,8 +25,9 @@ The pointwise algebra of I = omega^{-1} o F (linear in F's coefficients,
 see :func:`i_basis`) runs on the grid as two constant tables in F, built
 once per call from ``i_basis``, with no per-point I-field:
 
-* I^2 + Id in closed form, 2c I + (1 - r) Id from I and the block's wedges
-  (:func:`closed_i_square_resid`);
+* I^2 + Id in closed form, 2c I + (1 - r) Id from I's entries and the
+  block's wedges (:func:`closed_i_square_resid`); the same formula gives
+  the exact value at one fiber from the entries of ``compose_i``;
 * the Nijenhuis tensor, bilinear in F and its partials, as one (144, 24)
   table derived from the one Nijenhuis formula (:func:`_nijenhuis_table`).
 
@@ -53,6 +54,7 @@ from .errors import NonDegenerateRequired, NotPointwiseBrane
 from .exterior4 import (
     BIVECTOR_SLOTS,
     Form2,
+    exact_div,
     half,
     inverse_times,
     is_exact,
@@ -182,21 +184,26 @@ def _as_fn(value):
 
 
 @dataclass(frozen=True)
-class TrigPolyForm1:
-    c: tuple  # 4 TrigPolyFn, slots e^1..e^4
+class _TrigPolyForm:
+    """A trig-poly form; forms of different degree are never equal."""
+
+    c: tuple  # TrigPolyFn, one per slot
 
     @classmethod
     def from_fns(cls, fns):
         return cls(tuple(_as_fn(f) for f in fns))
 
+    def eval_grid(self, pts):
+        """Coefficients at an (N, 4) array of points; returns (N, slots)."""
+        return np.stack([fn.eval_grid(pts) for fn in self.c], axis=1)
 
-@dataclass(frozen=True)
-class TrigPolyForm2:
-    c: tuple  # 6 TrigPolyFn, slot order BIVECTOR_SLOTS
 
-    @classmethod
-    def from_fns(cls, fns):
-        return cls(tuple(_as_fn(f) for f in fns))
+class TrigPolyForm1(_TrigPolyForm):
+    """A 1-form: 4 TrigPolyFn, slots e^1..e^4."""
+
+
+class TrigPolyForm2(_TrigPolyForm):
+    """A 2-form: 6 TrigPolyFn, slot order BIVECTOR_SLOTS."""
 
     @classmethod
     def from_constant(cls, f: Form2):
@@ -213,24 +220,12 @@ class TrigPolyForm2:
 
     __rmul__ = __mul__
 
-    def eval_grid(self, pts):
-        """Coefficients at an (N, 4) array of points; returns (N, 6)."""
-        return np.stack([fn.eval_grid(pts) for fn in self.c], axis=1)
 
-
-@dataclass(frozen=True)
-class TrigPolyForm3:
-    c: tuple  # 4 TrigPolyFn, slot order TRIVECTOR_SLOTS
-
-    @classmethod
-    def from_fns(cls, fns):
-        return cls(tuple(_as_fn(f) for f in fns))
+class TrigPolyForm3(_TrigPolyForm):
+    """A 3-form: 4 TrigPolyFn, slot order TRIVECTOR_SLOTS."""
 
     def coefficient_norm(self):
         return max_abs(fn.coefficient_norm() for fn in self.c)
-
-    def eval_grid(self, pts):
-        return np.stack([fn.eval_grid(pts) for fn in self.c], axis=1)
 
 
 def exterior_d(form):
@@ -427,7 +422,9 @@ def _walk_points(grid, freqs):
         return uniform_grid(grid)
     axis = 2 * math.pi * np.arange(grid) / grid
     a = np.indices((grid,) * r).reshape(r, grid ** r).T  # (Z/grid)^r in order
-    return axis[a @ (np.array(u)[:, :r].T % grid) % grid]
+    # u's entries may exceed int64, so reduce them in Python ints first
+    cols = np.array([[v % grid for v in row[:r]] for row in u], dtype=int)
+    return axis[a @ cols.T % grid]
 
 
 def fiber_blocks(grid: int, *forms):
@@ -485,26 +482,29 @@ def i_basis(omega: Form2, tol: float = 0.0):
     return (inverse @ _UNIT_BIVECTORS).reshape(6, 16)
 
 
-def closed_i_square_resid(basis, f_rows, w_ff, w_fo, w_oo):
-    """max |I^2 + Id| over a (6, n) block of F's rows, with no I @ I.
+def closed_i_square_resid(i_entries, w_ff, w_fo, w_oo):
+    """max |I^2 + Id| from I's 16 row-major entries, with no I @ I.
 
     In dimension 4, Cayley-Hamilton for the Pfaffian pencil pf(F - t omega)
     gives I^2 = 2c I - r Id with c = (F^omega)/(omega^omega) and
-    r = (F^F)/(omega^omega), so I^2 + Id = 2c I + (1 - r) Id: one
-    contraction of the rows with ``basis`` and the block's wedges
-    ``w_ff`` = F^F, ``w_fo`` = F^omega and ``w_oo`` = omega^omega.
-    A NaN anywhere gives NaN.
+    r = (F^F)/(omega^omega), so I^2 + Id = 2c I + (1 - r) Id with the
+    wedges ``w_ff`` = F^F, ``w_fo`` = F^omega and ``w_oo`` = omega^omega.
+    Plain arithmetic like :func:`wedge`: the exact entries of compose_i at
+    one fiber give an exact value; the (16, n) rows ``basis.T @ f_rows`` of
+    a grid block are scaled in place.  A NaN anywhere gives NaN.
     """
-    resid = basis.T @ f_rows  # (16, n): row 4a + b holds I[a, b]
-    resid *= 2 * w_fo / w_oo
-    resid[::5] += 1 - w_ff / w_oo  # the diagonal rows 0, 5, 10, 15
-    return float(np.abs(resid, out=resid).max())
+    two_c, diag = exact_div(2 * w_fo, w_oo), 1 - exact_div(w_ff, w_oo)
+    if not isinstance(i_entries, np.ndarray):
+        return max_abs(two_c * e + (diag if k % 5 == 0 else 0) for k, e in enumerate(i_entries))
+    i_entries *= two_c
+    i_entries[::5] += diag  # the diagonal rows 0, 5, 10, 15
+    return float(np.abs(i_entries, out=i_entries).max())
 
 
 def _require_pointwise_brane(basis, f_rows, omega_rows, tol):
     """Raise NotPointwiseBrane unless I^2 + Id is at most tol on the block."""
     resid = closed_i_square_resid(
-        basis, f_rows, wedge(f_rows, f_rows), wedge(f_rows, omega_rows),
+        basis.T @ f_rows, wedge(f_rows, f_rows), wedge(f_rows, omega_rows),
         wedge(omega_rows, omega_rows),
     )
     if not resid <= tol:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from branekit import brane_check, torus_forms
+from branekit import brane_check, exterior4, torus_forms
 from branekit.brane_check import (
     brane_of_complex_structure,
     deformation_residuals,
@@ -446,7 +446,7 @@ def _assert_closed_form_matches_compose_i(omega, cols):
     rows = np.array(cols, dtype=float).T
     o = [float(v) for v in omega.coeffs]
     got = closed_i_square_resid(
-        i_basis(omega), rows, wedge(rows, rows), wedge(rows, o), wedge(o, o)
+        i_basis(omega).T @ rows, wedge(rows, rows), wedge(rows, o), wedge(o, o)
     )
     maps = [compose_i(omega, Form2.from_coeffs(tuple(col))) for col in rows.T]
     want = max_abs(square_resid(i) for i in maps)
@@ -540,6 +540,45 @@ LATTICES = [
     [(1, -1, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)],
     [(2, 0, 0, 0), (0, 1, 1, 0), (0, 0, 2, 0), (1, 0, 0, 3)],
 ]
+
+
+fractions = st.fractions(-3, 3, max_denominator=4)
+
+
+class TestOneFiberISquare:
+    """At one fiber I^2 + Id comes from the closed form over compose_i's
+    entries, with no I @ I."""
+
+    @given(omega=st.lists(fractions, min_size=6, max_size=6),
+           f=st.lists(fractions, min_size=6, max_size=6))
+    def test_rational_pairs_give_the_exact_fraction(self, omega, f):
+        omega, f = Form2.from_coeffs(tuple(omega)), Form2.from_coeffs(tuple(f))
+        assume(pfaffian(omega) != 0)
+        got = verify_brane(omega, f).i_square_resid
+        assert isinstance(got, Fraction)
+        assert got == square_resid(compose_i(omega, f))
+
+    @given(omega=st.lists(floats, min_size=6, max_size=6),
+           f=st.lists(floats, min_size=6, max_size=6))
+    def test_float_pairs_match_compose_i(self, omega, f):
+        omega, f = _float_omega(omega), Form2.from_coeffs(tuple(f))
+        i = compose_i(omega, f)
+        got = verify_brane(omega, f).i_square_resid
+        assert abs(got - square_resid(i)) <= 1e-12 * (1 + i.max_abs() ** 2)
+
+    def test_square_resid_is_never_reached(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("square_resid was called")
+
+        monkeypatch.setattr(exterior4, "square_resid", unreachable)
+        monkeypatch.setattr(brane_check, "square_resid", unreachable, raising=False)
+        _, rot = brane_field((1, 0, 0, 0), R_234)
+        alpha = _closed_11(TrigPolyFn.mode((1, 0, 2, 0), cos=1))
+        assert verify_brane(W0, F0).i_square_resid == 0
+        assert verify_brane(W0, Form2(c13=0.5, c24=-2.0)).i_square_resid <= 1e-15
+        assert linearized_deformation_check(W0, F0, TrigPolyForm2.from_constant(KAPPA))
+        linearized_deformation_check(W0, F0, alpha)  # constant F, gridded alpha
+        linearized_deformation_check(W0, rot, alpha)
 
 
 def _gridded_reports(omega, field, alpha, grid):

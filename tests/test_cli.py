@@ -7,9 +7,12 @@ import math
 from importlib import resources
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from branekit import brane_check, cli, torus_forms
 from branekit.cli import main
+from branekit.torus_forms import TrigPolyFn, TrigPolyForm2
 
 ZEROS = {"12": 0, "13": 0, "14": 0, "23": 0, "24": 0, "34": 0}
 
@@ -369,3 +372,123 @@ class TestNonFinite:
         out = tmp_path / "never.json"
         assert main(["verify", omega_file, f0_file, "--tol", "nan", "--out", str(out)]) == 2
         assert not out.exists()
+
+
+def _trig_file(path, slot_modes):
+    """A trigpoly2 file with the given modes per slot, empty slots elsewhere."""
+    coeffs = {key: slot_modes.get(key, []) for key in ZEROS}
+    return write_json(path, {"version": 1, "kind": "trigpoly2", "coeffs": coeffs})
+
+
+class TestRefusals:
+    def test_unknown_kind_is_input_error(self, tmp_path, omega_file, capsys):
+        form = write_json(
+            tmp_path / "form.json", {"version": 1, "kind": "cubic2", "coeffs": dict(ZEROS)}
+        )
+        out = tmp_path / "never.json"
+        assert main(["verify", omega_file, form, "--out", str(out)]) == 2
+        assert "unknown kind 'cubic2'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["quadric"], ["metric", "--space", "t4"]])
+    def test_non_brane_base_is_input_error(self, tmp_path, omega_file, command, capsys):
+        # 2 F0 has F^F = 8 against omega^omega = 2
+        base = write_json(
+            tmp_path / "base.json",
+            {"version": 1, "kind": "constant2", "coeffs": dict(ZEROS, **{"13": 2, "24": -2})},
+        )
+        out = tmp_path / "never.out"
+        assert main(command[:1] + [omega_file, base] + command[1:] + ["--out", str(out)]) == 2
+        assert "base form is not a brane" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["constant2", "trigpoly2", "class"])
+    def test_number_beyond_the_float_range_is_input_error(
+        self, tmp_path, omega_file, f0_file, kind, capsys
+    ):
+        huge = 10 ** 400  # a valid JSON integer
+        if kind == "constant2":
+            coeffs = dict(ZEROS, **{"13": huge, "24": -1})
+            form = write_json(tmp_path / "form.json", {"version": 1, "kind": kind, "coeffs": coeffs})
+            argv = ["verify", omega_file, form]
+        elif kind == "trigpoly2":
+            form = _trig_file(tmp_path / "form.json", {"13": [{"k": [1, 0, 0, 0], "cos": huge}]})
+            argv = ["verify", omega_file, form]
+        else:
+            omega = write_json(
+                tmp_path / "omega_k3.json",
+                {"version": 1, "kind": "class", "space": "k3", "coeffs": [1] + [0] * 21},
+            )
+            base = write_json(
+                tmp_path / "base_k3.json",
+                {"version": 1, "kind": "class", "space": "k3", "coeffs": [0, huge] + [0] * 20},
+            )
+            argv = ["metric", omega, base, "--space", "k3"]
+        out = tmp_path / "never.out"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "expected a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestHugeFrequencies:
+    @pytest.mark.parametrize("command", ["verify", "nijenhuis"])
+    @pytest.mark.parametrize(
+        "k", [[2 ** 63 - 1, -(2 ** 63 - 1), 2 ** 62, 5], [2 ** 70, 1, 0, 0]]
+    )
+    def test_frequencies_beyond_int64_get_a_report(self, tmp_path, omega_file, command, k):
+        constant = lambda c: [{"k": [0, 0, 0, 0], "cos": c}]  # noqa: E731
+        form = _trig_file(
+            tmp_path / "form.json",
+            {"12": [{"k": k, "cos": 1.0}], "13": constant(1), "24": constant(-1)},
+        )
+        out = tmp_path / "report.json"
+        assert main([command, omega_file, form, "--no-timestamp", "--out", str(out)]) in (0, 1)
+        assert json.loads(out.read_text())["command"] == command
+
+
+def _fold(slot_modes):
+    """The former parse of a slot: one ``fn + TrigPolyFn.mode`` per mode."""
+    fn = TrigPolyFn.zero()
+    for mode in slot_modes:
+        fn = fn + TrigPolyFn.mode(tuple(mode["k"]), mode.get("cos", 0), mode.get("sin", 0))
+    return fn
+
+
+# 0.1, 0.2, 0.3 and 1e16 make float sums depend on their order
+_coefs = st.one_of(
+    st.integers(-3, 3), st.floats(-4, 4), st.sampled_from([0.1, 0.2, -0.3, 1e16, -1e16])
+)
+# a few frequencies, so that several modes of a slot share one k or its negative
+_ks = st.sampled_from([[1, 0, 0, 0], [-1, 0, 0, 0], [0, 2, -1, 0], [0, -2, 1, 0], [0, 0, 0, 0]])
+_modes = st.fixed_dictionaries(
+    {"k": st.one_of(_ks, st.lists(st.integers(-2, 2), min_size=4, max_size=4))},
+    optional={"cos": _coefs, "sin": _coefs},
+)
+
+
+@st.composite
+def _slot(draw):
+    """Modes with duplicate k, cancelling pairs (on k and on -k), negative
+    leading entries and k = 0 with a sine, in a random order."""
+    modes = draw(st.lists(_modes, max_size=4))
+    extra = []
+    for mode in modes:
+        a, b = mode.get("cos", 0), mode.get("sin", 0)
+        twin = draw(st.sampled_from([None, "same", "cancel", "cancel on -k"]))
+        if twin == "same":
+            extra.append(dict(mode))
+        elif twin == "cancel":
+            extra.append({"k": mode["k"], "cos": -a, "sin": -b})
+        elif twin == "cancel on -k":
+            extra.append({"k": [-v for v in mode["k"]], "cos": -a, "sin": b})
+    if draw(st.booleans()):
+        extra.append({"k": [0, 0, 0, 0], "cos": draw(_coefs), "sin": draw(_coefs)})
+    return draw(st.permutations(modes + extra))
+
+
+class TestParseForm:
+    @given(slots=st.lists(_slot(), min_size=6, max_size=6))
+    def test_one_canonicalization_equals_the_fold_of_modes(self, slots):
+        doc = {"version": 1, "kind": "trigpoly2", "coeffs": dict(zip(ZEROS, slots))}
+        want = TrigPolyForm2(tuple(_fold(modes) for modes in slots))
+        assert cli._parse_form(doc, "form.json") == want
