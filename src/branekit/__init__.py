@@ -45,6 +45,7 @@ from .period_domain import (
     deformation_residual,
     hodge_splitting,
     metric_at,
+    metric_sweep,
     quadric_contains,
     reconstruct_brane,
     scalar_with_imaginary_part,

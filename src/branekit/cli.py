@@ -58,7 +58,7 @@ from .period_domain import (
     affine_normal_form,
     build_chart,
     chart_point,
-    metric_at,
+    metric_sweep,
     reconstruct_brane,
     torus_quadric_alt_value,
     torus_quadric_coefficients,
@@ -86,7 +86,9 @@ def _load_json(path):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    # JSONDecodeError, an integer past Python's int-to-str digit limit, or
+    # bytes that are not text: all ValueError
+    except ValueError as exc:
         raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
 
 
@@ -101,8 +103,9 @@ def _check_number(value, where):
     # json.load accepts the NaN and Infinity literals, and ints of any size
     try:
         finite = math.isfinite(value)
-    except OverflowError:  # an int beyond the largest float
-        finite = False
+    except OverflowError:  # an int beyond the largest float, shown by its size
+        raise SchemaError(f"{where}: expected a finite number, "
+                          f"got an integer of {len(str(abs(value)))} digits") from None
     _require(finite, f"{where}: expected a finite number, got {value!r}")
     return value
 
@@ -291,8 +294,7 @@ def cmd_metric(args):
         + ["off_diag_max", "gamma_resid", "sig_pos", "sig_neg"]
     )
     writer.writerow(header)
-    for theta, ybar in params:
-        sample = metric_at(chart, theta, ybar)
+    for (theta, ybar), sample in zip(params, metric_sweep(chart, params)):
         writer.writerow(
             [repr(theta)]
             + [repr(y) for y in ybar]
@@ -371,8 +373,9 @@ def cmd_example_torus(args):
         "quadric_dim": chart.dim,
     }
 
-    origin = metric_at(chart, 0.0, (0.0,) * len(chart.neg))
-    off_axis = metric_at(chart, 0.0, (1.0,) + (0.0,) * (len(chart.neg) - 1))
+    origin, off_axis = metric_sweep(
+        chart, [(0.0, (0.0,) * len(chart.neg)), (0.0, (1.0,) + (0.0,) * (len(chart.neg) - 1))]
+    )
     ratio = off_axis.g_theta_theta / off_axis.g_theta_theta_sqrt_form
     checks["metric_origin"] = {
         "g_diag": [float(origin.g[i, i]) for i in range(origin.g.shape[0])],

@@ -19,7 +19,9 @@ dx1^dy1^dx2^dy2 normalised to 1.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from functools import cached_property
+from math import gcd, isqrt, lcm
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,6 +54,57 @@ class IntersectionSpace:
         object.__setattr__(self, "sparse_rows", rows)
 
 
+class _Rational(NamedTuple):
+    """An exact class as integer numerators over one positive denominator.
+
+    ``support`` holds the (i, numerator) pairs with a nonzero numerator.
+    ``fraction`` tells whether a pairing with the class is a Fraction: it is
+    when a coefficient on a nonzero pairing row is one.
+    """
+
+    nums: tuple
+    den: int
+    support: tuple
+    fraction: bool
+
+    @classmethod
+    def of(cls, nums, den, fraction):
+        return cls(nums, den, tuple((i, n) for i, n in enumerate(nums) if n), fraction)
+
+
+def _pair_numerator(x: _Rational, y: _Rational, rows):
+    """x.y times x.den * y.den, over x's nonzero entries."""
+    ny = y.nums
+    return sum(xi * p * ny[j] for i, xi in x.support for j, p in rows[i])
+
+
+def _minus_projection(v: _Rational, w: _Rational, w_sq, rows):
+    """v - (v.w / w_sq) w in integer numerators; v itself when v.w = 0.
+
+    With v = N/D, w = M/E, v.w = k/(D E) and w_sq = a/b this is
+    (N E^2 a - k b M) / (D E^2 a), brought to lowest terms.  Every
+    coefficient of the result stands for a Fraction, as v - c*w with a
+    Fraction c gives.
+    """
+    k = _pair_numerator(v, w, rows)
+    if not k:
+        return v
+    a, b = w_sq.numerator, w_sq.denominator
+    if not a:
+        raise ZeroDivisionError(f"Fraction({k}, 0)")
+    scale = w.den * w.den * a
+    kb = k * b
+    nums = [n * scale - kb * m for n, m in zip(v.nums, w.nums)]
+    den = v.den * scale
+    g = gcd(*nums, den)
+    if den < 0:
+        g = -g
+    if g != 1:
+        nums = [n // g for n in nums]
+        den //= g
+    return _Rational.of(tuple(nums), den, True)
+
+
 @dataclass(frozen=True)
 class CohClass:
     """A vector in an intersection space."""
@@ -68,16 +121,28 @@ class CohClass:
     def pair(self, other: "CohClass"):
         """The pairing sum of x_i * (p_ij * y_j) over the nonzero entries p_ij.
 
-        A term is skipped when x_i and y_j are both exact (``int`` or
-        ``Fraction``) and one of them is zero: it is an exact zero, and adding
-        it changes neither the value nor, for a float sum, the sign of zero.
-        A float meeting an exact zero is still multiplied, so NaN and inf
-        propagate and the sum stays a float.  When a skipped term was a
-        Fraction and the rest sum to an int, the sum is returned as a Fraction,
-        the type the unskipped sum has.
+        When both classes are exact (``int`` or ``Fraction``) the sum runs on
+        their integer numerators and visits only x's nonzero entries; it is a
+        Fraction when a coefficient on a nonzero pairing row is one, else an
+        int, the type the term-by-term sum has.
+
+        Otherwise a term is skipped when x_i and y_j are both exact and one
+        of them is zero: it is an exact zero, and adding it changes neither
+        the value nor, for a float sum, the sign of zero.  A float meeting an
+        exact zero is still multiplied, so NaN and inf propagate and the sum
+        stays a float.  When a skipped term was a Fraction and the rest sum to
+        an int, the sum is returned as a Fraction, the type the unskipped sum
+        has.
         """
         if self.space != other.space:
             raise SpaceMismatch("classes live in different spaces")
+        rx = self._rational
+        if rx is not None:
+            ry = other._rational
+            if ry is not None:
+                num = _pair_numerator(rx, ry, self.space.sparse_rows)
+                den = rx.den * ry.den
+                return Fraction(num, den) if rx.fraction or ry.fraction else num // den
         y = other.coeffs
         terms = []
         fraction_skipped = False
@@ -98,6 +163,26 @@ class CohClass:
         if fraction_skipped and type(total) is int:
             return Fraction(total)
         return total
+
+    @cached_property
+    def _rational(self):
+        """The class as a ``_Rational`` when every coefficient is an int or a
+        Fraction, else None; worked out on first use, not on construction."""
+        nums = self.coeffs
+        den = 1
+        all_int = True
+        fraction = False
+        for v, row in zip(nums, self.space.sparse_rows):
+            t = type(v)
+            if t is Fraction:
+                den = lcm(den, v.denominator)
+                all_int = False
+                fraction = fraction or bool(row)
+            elif t is not int:
+                return None
+        if not all_int:
+            nums = tuple(v.numerator * (den // v.denominator) for v in nums)
+        return _Rational.of(nums, den, fraction)
 
     def __add__(self, other):
         if self.space != other.space:
@@ -172,7 +257,8 @@ def constant_form_of_class(c: CohClass) -> Form2:
 
 
 def signature(space_or_matrix, tol: float = 1e-9):
-    """(positive, negative) eigenvalue counts of a symmetric pairing g.
+    """(positive, negative) eigenvalue counts of a symmetric pairing g; for
+    a stack of matrices, shape (S, n, n), the list of the S pairs.
 
     The counts are taken on D g D with D = diag(|g_ii|^(-1/2)), and 1 where
     g_ii = 0: by Sylvester's law of inertia that congruence keeps them, and
@@ -189,13 +275,15 @@ def signature(space_or_matrix, tol: float = 1e-9):
         mat = np.asarray(space_or_matrix, dtype=float)
     if not np.isfinite(mat).all():
         raise NonFiniteMatrix("signature of a matrix with a NaN or infinite entry")
-    diag = np.abs(np.diagonal(mat))
+    diag = np.abs(np.diagonal(mat, axis1=-2, axis2=-1))
     d = 1 / np.sqrt(np.where(diag > 0, diag, 1.0))
-    eig = np.linalg.eigvalsh(d[:, None] * mat * d)
-    scale = max(1.0, float(np.abs(eig).max()))
-    pos = int((eig > tol * scale).sum())
-    neg = int((eig < -tol * scale).sum())
-    return pos, neg
+    eig = np.linalg.eigvalsh(d[..., :, None] * mat * d[..., None, :])
+    bound = tol * np.maximum(1.0, np.abs(eig).max(axis=-1, keepdims=True))
+    pos = (eig > bound).sum(axis=-1)
+    neg = (eig < -bound).sum(axis=-1)
+    if mat.ndim == 2:
+        return int(pos), int(neg)
+    return [(int(p), int(n)) for p, n in zip(pos, neg)]
 
 
 def _exact_sqrt(q: Fraction):
@@ -220,13 +308,43 @@ def _scale_to(v: CohClass, ratio):
 
 
 def project_off(v: CohClass, basis):
-    """Remove the components of v along pairwise-orthogonal (w, w.w) pairs."""
+    """Remove the components of v along pairwise-orthogonal (w, w.w) pairs.
+
+    While v, w and w.w are exact the steps run on integer numerators over
+    one denominator, and the Fractions of the result are made once, at the
+    end.  An exact v that meets a w of float coefficients is converted to
+    floats once: ``Fraction op float`` computes ``float(q) op float``, so
+    every bit is the same as converting entry by entry at each operation.
+    """
+    rows = v.space.sparse_rows
+    exact = v._rational  # v's value while it stays exact; v may lag behind
     for w, w_sq in basis:
-        coef = v.pair(w)
+        if exact is not None:
+            if w._rational is not None and is_exact(w_sq):
+                exact = _minus_projection(exact, w._rational, w_sq, rows)
+                continue
+            if all(type(c) is float for c in w.coeffs):
+                x = CohClass(v.space, tuple(n / exact.den for n in exact.nums))
+            else:
+                v = x = _class_of(v, exact)
+        else:
+            x = v
+        coef = x.pair(w)
         if coef == 0:
             continue
-        v = v - exact_div(coef, w_sq) * w
-    return v
+        v = x - exact_div(coef, w_sq) * w
+        exact = v._rational
+    return _class_of(v, exact)
+
+
+def _class_of(v: CohClass, exact):
+    """v brought up to date with its exact value ``exact``: a class of
+    Fraction coefficients unless ``exact`` is None or already v's own."""
+    if exact is None or exact is v._rational:
+        return v
+    out = CohClass(v.space, tuple(Fraction(n, exact.den) for n in exact.nums))
+    out.__dict__["_rational"] = exact
+    return out
 
 
 def indefinite_gram_schmidt(vectors, target_squares, tol: float = 1e-9):

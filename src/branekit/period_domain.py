@@ -112,8 +112,41 @@ def _standard_candidates(space: IntersectionSpace):
         yield singles[i] - singles[j]
 
 
-def _positive_direction(q, accepted, candidates, tol_eff):
-    """The positive direction of the orthocomplement of ``accepted``.
+class _Projections:
+    """The standard candidates, each projected off the accepted (w, w.w)
+    pairs as the list stands when the candidate is reached.
+
+    Every pass (``iter``) starts again at the first candidate.  A candidate
+    keeps its partial projection and is extended only by the vectors
+    accepted since: project_off(project_off(c, A), B) runs the same steps as
+    project_off(c, A + B), so every coefficient keeps its value, type and
+    bits while no candidate is projected off a vector twice.
+    """
+
+    def __init__(self, space: IntersectionSpace, accepted: list):
+        self._source = _standard_candidates(space)
+        self._done = []  # [candidate projected off accepted[:count], count]
+        self._accepted = accepted
+
+    def __iter__(self):
+        accepted = self._accepted
+        i = 0
+        while True:
+            if i == len(self._done):
+                cand = next(self._source, None)
+                if cand is None:
+                    return
+                self._done.append([cand, 0])
+            entry = self._done[i]
+            if entry[1] < len(accepted):
+                entry[0] = project_off(entry[0], accepted[entry[1]:])
+                entry[1] = len(accepted)
+            yield entry[0]
+            i += 1
+
+
+def _positive_direction(q, projections, tol_eff):
+    """The positive direction of the orthocomplement of the accepted vectors.
 
     The candidate projections span the orthocomplement, whose restricted
     pairing has exactly one positive eigenvalue; extract a spanning basis
@@ -123,12 +156,12 @@ def _positive_direction(q, accepted, candidates, tol_eff):
     dim = q.space.dim
     basis = []
     coords = np.zeros((0, dim))
-    for cand in candidates:
-        if len(basis) == dim - 2:
+    passes = iter(projections)
+    while len(basis) < dim - 2:
+        u = next(passes, None)
+        if u is None:
             break
-        u = project_off(cand, accepted)
-        arr = u.array()
-        stacked = np.vstack([coords, arr])
+        stacked = np.vstack([coords, u.array()])
         if np.linalg.matrix_rank(stacked, tol=1e-9) > len(basis):
             basis.append(u)
             coords = stacked
@@ -162,27 +195,26 @@ def build_chart(q: QuadricSpec, base: CohClass, tol: float = 1e-9) -> QuadricCha
     s = q.omega_sq
     tol_eff = tol * max(1.0, abs(float(s)))
     accepted = [(base, s), (q.omega, s)]
+    projections = _Projections(q.space, accepted)
 
     b = None
-    for cand in _standard_candidates(q.space):
-        u = project_off(cand, accepted)
-        u_sq = u.pair(u)
-        if u_sq > tol_eff:
+    for u in projections:
+        if u.pair(u) > tol_eff:
             b = indefinite_gram_schmidt([u], [s], tol=tol_eff)[0]
             break
     if b is None:
-        u = _positive_direction(q, accepted, _standard_candidates(q.space), tol_eff)
+        u = _positive_direction(q, projections, tol_eff)
         b = indefinite_gram_schmidt([u], [s], tol=tol_eff)[0]
     accepted.append((b, s))
 
     neg = []
     want = q.space.dim - 3
-    for cand in _standard_candidates(q.space):
-        if len(neg) == want:
+    passes = iter(projections)
+    while len(neg) < want:
+        u = next(passes, None)
+        if u is None:
             break
-        u = project_off(cand, accepted)
-        u_sq = u.pair(u)
-        if u_sq < -tol_eff:
+        if u.pair(u) < -tol_eff:
             n = indefinite_gram_schmidt([u], [-s], tol=tol_eff)[0]
             neg.append(n)
             accepted.append((n, -s))
@@ -230,47 +262,76 @@ class MetricSample:
 
 
 def metric_at(chart: QuadricChart, theta: float, ybar) -> MetricSample:
-    """Induced metric from exact differentiation of the chart map.
+    """Induced metric from exact differentiation of the chart map: the
+    one-sample case of ``metric_sweep``."""
+    return metric_sweep(chart, [(theta, ybar)])[0]
 
-    Raises NonFiniteMatrix when the metric is not finite: before any array
-    work when 1 + |ybar|^2 overflows, else when the product does.
+
+def metric_sweep(chart: QuadricChart, params) -> list:
+    """The induced metric at every (theta, ybar) of ``params``, in one pass
+    over stacked arrays; a list of MetricSample in the order of ``params``.
+
+    Every entry comes from the same floating-point operations as in a pass
+    over that sample alone, so a sample does not depend on the others.
+    Every sample is checked before any array work: ValueError when ybar has
+    the wrong length, NonFiniteMatrix when 1 + |ybar|^2 overflows.  A sweep
+    whose product overflows raises NonFiniteMatrix too.
     """
-    ybar = tuple(float(y) for y in ybar)
     k = len(chart.neg)
-    if len(ybar) != k:
-        raise ValueError(f"ybar must have length {k}")
-    m = 1.0 + sum(y * y for y in ybar)
-    if not math.isfinite(m):
-        raise NonFiniteMatrix(f"metric is not finite: 1 + |ybar|^2 = {m}")
-    root = math.sqrt(m)
-    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    thetas, ybars, ms = [], [], []
+    for theta, ybar in params:
+        ybar = tuple(float(y) for y in ybar)
+        if len(ybar) != k:
+            raise ValueError(f"ybar must have length {k}")
+        m = 1.0 + sum(y * y for y in ybar)
+        if not math.isfinite(m):
+            raise NonFiniteMatrix(f"metric is not finite: 1 + |ybar|^2 = {m}")
+        thetas.append(float(theta))
+        ybars.append(ybar)
+        ms.append(m)
+    if not thetas:
+        return []
+    roots = [math.sqrt(m) for m in ms]
+    root = np.array(roots)[:, None]
+    cos_t = np.array([math.cos(t) for t in thetas])[:, None]
+    sin_t = np.array([math.sin(t) for t in thetas])[:, None]
+    y = np.array(ybars).reshape(len(thetas), k)
 
     base_a, b_a, neg_a = chart.vectors[0], chart.vectors[1], chart.vectors[2:]
-    y = np.asarray(ybar)
+    # exact parameter derivatives of the chart map; row 1 + i of a sample is
+    # (y_i / root) * (cos_t base + sin_t b) + n_i
+    tangents = np.empty((len(thetas), 1 + k, len(base_a)))
+    tangents[:, 0] = root * (-sin_t * base_a + cos_t * b_a)
+    circle = cos_t * base_a + sin_t * b_a
+    np.add((y / root)[:, :, None] * circle[:, None, :], neg_a, out=tangents[:, 1:])
 
-    # exact parameter derivatives of the chart map; row 1 + i is
-    # (y_i / root) * (cos_t base + sin_t b) + n_i, all rows in one broadcast
-    tangents = np.empty((1 + k, len(base_a)))
-    tangents[0] = root * (-sin_t * base_a + cos_t * b_a)
-    np.add(np.multiply.outer(y / root, cos_t * base_a + sin_t * b_a), neg_a, out=tangents[1:])
-
-    g = tangents @ chart.pairing @ tangents.T
-    g = 0.5 * (g + g.T)
+    g = tangents @ chart.pairing @ tangents.transpose(0, 2, 1)
+    g = 0.5 * (g + g.transpose(0, 2, 1))
+    signatures = signature(g)
 
     s = float(chart.omega_sq)
-    gamma_expected = (np.outer(y, y) / m - np.eye(k)) * s
-    gamma_resid = float(np.abs(g[1:, 1:] - gamma_expected).max()) if k else 0.0
-    off_diag_max = float(np.abs(g[0, 1:]).max()) if k else 0.0
-    return MetricSample(
-        theta=float(theta),
-        ybar=ybar,
-        g=g,
-        signature=signature(g),
-        off_diag_max=off_diag_max,
-        gamma_resid=gamma_resid,
-        g_theta_theta=float(g[0, 0]),
-        g_theta_theta_sqrt_form=root * s,
-    )
+    if k:
+        m = np.array(ms)[:, None, None]
+        gamma_expected = (y[:, :, None] * y[:, None, :] / m - np.eye(k)) * s
+        gamma_resid = np.abs(g[:, 1:, 1:] - gamma_expected).max(axis=(1, 2))
+        off_diag_max = np.abs(g[:, 0, 1:]).max(axis=1)
+    else:
+        gamma_resid = off_diag_max = np.zeros(len(thetas))
+    return [
+        MetricSample(
+            theta=theta,
+            ybar=ybar,
+            g=gi,
+            signature=sig,
+            off_diag_max=float(off),
+            gamma_resid=float(resid),
+            g_theta_theta=float(gi[0, 0]),
+            g_theta_theta_sqrt_form=r * s,
+        )
+        for theta, ybar, gi, sig, off, resid, r in zip(
+            thetas, ybars, g, signatures, off_diag_max, gamma_resid, roots
+        )
+    ]
 
 
 def deformation_residual(q: QuadricSpec, base: CohClass, alpha: CohClass):

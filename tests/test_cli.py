@@ -430,6 +430,32 @@ class TestRefusals:
         assert not out.exists()
 
 
+    def test_refused_huge_integer_is_shown_by_its_digit_count(self, tmp_path, omega_file, capsys):
+        form = write_json(
+            tmp_path / "form.json",
+            {"version": 1, "kind": "constant2", "coeffs": dict(ZEROS, **{"13": 10 ** 400, "24": -1})},
+        )
+        assert main(["verify", omega_file, form]) == 2
+        err = capsys.readouterr().err
+        assert "an integer of 401 digits" in err
+        assert "0" * 400 not in err
+
+    def test_integer_past_the_digit_limit_is_input_error(self, tmp_path, omega_file, capsys):
+        # json.load raises ValueError for an int of more than 4300 digits
+        text = json.dumps({"version": 1, "kind": "constant2", "coeffs": dict(ZEROS, **{"24": -1})})
+        form = tmp_path / "form.json"
+        form.write_text(text.replace('"13": 0', '"13": ' + "13" * 2500))
+        out = tmp_path / "never.json"
+        assert main(["verify", omega_file, str(form), "--out", str(out)]) == 2
+        assert "invalid JSON" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bytes_that_are_not_text_are_input_error(self, tmp_path, omega_file):
+        form = tmp_path / "form.json"
+        form.write_bytes(b"\xff\xfe{")
+        assert main(["verify", omega_file, str(form)]) == 2
+
+
 class TestHugeFrequencies:
     @pytest.mark.parametrize("command", ["verify", "nijenhuis"])
     @pytest.mark.parametrize(
