@@ -321,6 +321,8 @@ def project_off(v: CohClass, basis):
     for w, w_sq in basis:
         if exact is not None:
             if w._rational is not None and is_exact(w_sq):
+                if w.space is not v.space and w.space != v.space:
+                    raise SpaceMismatch("classes live in different spaces")
                 exact = _minus_projection(exact, w._rational, w_sq, rows)
                 continue
             if all(type(c) is float for c in w.coeffs):

@@ -330,3 +330,9 @@ class TestProjectOffOracle:
         got = cohomology.project_off(v, basis)
         assert all(same_coeff(x, y) for x, y in zip(got.coeffs, want.coeffs)), (got, want)
         assert all(same_coeff(v.pair(w), p) for (w, _), p in zip(basis, want_pairs))
+
+    @pytest.mark.parametrize("w", [(1,) + (0,) * 21, (1.0,) + (0.0,) * 21])
+    def test_space_mismatch_is_refused(self, w):
+        v = CohClass(SPACE, (1, 0, 0, 0, 0, 0))
+        with pytest.raises(SpaceMismatch):
+            cohomology.project_off(v, [(CohClass(K3, w), 1)])
