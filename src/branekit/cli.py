@@ -133,6 +133,8 @@ def _parse_form(doc, path):
                     isinstance(k, list) and len(k) == 4 and all(isinstance(i, int) for i in k),
                     f"{path}: mode key 'k' must be a list of 4 integers",
                 )
+                for i in k:  # the phase tables take the frequencies as floats
+                    _check_number(i, f"{path}: mode key 'k'")
                 raw.append((
                     k,
                     _check_number(mode.get("cos", 0), f"{path}: cos"),

@@ -124,15 +124,10 @@ class CohClass:
         When both classes are exact (``int`` or ``Fraction``) the sum runs on
         their integer numerators and visits only x's nonzero entries; it is a
         Fraction when a coefficient on a nonzero pairing row is one, else an
-        int, the type the term-by-term sum has.
-
-        Otherwise a term is skipped when x_i and y_j are both exact and one
-        of them is zero: it is an exact zero, and adding it changes neither
-        the value nor, for a float sum, the sign of zero.  A float meeting an
-        exact zero is still multiplied, so NaN and inf propagate and the sum
-        stays a float.  When a skipped term was a Fraction and the rest sum to
-        an int, the sum is returned as a Fraction, the type the unskipped sum
-        has.
+        int, the type the term-by-term sum has.  Every other pair is that
+        term-by-term sum in plain arithmetic, so NaN and inf propagate.  The
+        builtin sum starts at int 0 and so never holds -0.0: an exact zero
+        term leaves the bits of a float sum as they are.
         """
         if self.space != other.space:
             raise SpaceMismatch("classes live in different spaces")
@@ -144,25 +139,8 @@ class CohClass:
                 den = rx.den * ry.den
                 return Fraction(num, den) if rx.fraction or ry.fraction else num // den
         y = other.coeffs
-        terms = []
-        fraction_skipped = False
-        # only the nonzero entries: bit-identical to the dense sum when every
-        # row has at most one, and exact for exact inputs in any case
-        for xi, row in zip(self.coeffs, self.space.sparse_rows):
-            tx = type(xi)
-            x_exact = tx is int or tx is Fraction
-            for j, p in row:
-                yj = y[j]
-                if x_exact and not (xi and yj):
-                    ty = type(yj)
-                    if ty is int or ty is Fraction:
-                        fraction_skipped = fraction_skipped or tx is Fraction or ty is Fraction
-                        continue
-                terms.append(xi * (p * yj))
-        total = sum(terms)
-        if fraction_skipped and type(total) is int:
-            return Fraction(total)
-        return total
+        return sum(xi * (p * y[j]) for xi, row in zip(self.coeffs, self.space.sparse_rows)
+                   for j, p in row)
 
     @cached_property
     def _rational(self):
@@ -312,30 +290,23 @@ def project_off(v: CohClass, basis):
 
     While v, w and w.w are exact the steps run on integer numerators over
     one denominator, and the Fractions of the result are made once, at the
-    end.  An exact v that meets a w of float coefficients is converted to
-    floats once: ``Fraction op float`` computes ``float(q) op float``, so
-    every bit is the same as converting entry by entry at each operation.
+    end.  Every other step is plain arithmetic, on v's Fractions while v is
+    exact: ``Fraction op float`` computes ``float(q) op float``, and
+    ``float(q)`` is q correctly rounded.
     """
     rows = v.space.sparse_rows
     exact = v._rational  # v's value while it stays exact; v may lag behind
     for w, w_sq in basis:
-        if exact is not None:
-            if w._rational is not None and is_exact(w_sq):
-                if w.space is not v.space and w.space != v.space:
-                    raise SpaceMismatch("classes live in different spaces")
-                exact = _minus_projection(exact, w._rational, w_sq, rows)
-                continue
-            if all(type(c) is float for c in w.coeffs):
-                x = CohClass(v.space, tuple(n / exact.den for n in exact.nums))
-            else:
-                v = x = _class_of(v, exact)
-        else:
-            x = v
-        coef = x.pair(w)
-        if coef == 0:
+        if exact is not None and w._rational is not None and is_exact(w_sq):
+            if w.space is not v.space and w.space != v.space:
+                raise SpaceMismatch("classes live in different spaces")
+            exact = _minus_projection(exact, w._rational, w_sq, rows)
             continue
-        v = x - exact_div(coef, w_sq) * w
-        exact = v._rational
+        v = _class_of(v, exact)
+        coef = v.pair(w)
+        if coef != 0:
+            v = v - exact_div(coef, w_sq) * w
+            exact = v._rational
     return _class_of(v, exact)
 
 

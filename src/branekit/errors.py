@@ -61,5 +61,9 @@ class DegenerateQuadric(BranekitError):
     """Quadratic part is degenerate; no normal form sum(+-x_i^2) = 1 exists."""
 
 
+class WalkTooLarge(BranekitError):
+    """A grid walk would need more memory than the machine has."""
+
+
 class SchemaError(BranekitError):
     """An input file does not conform to the expected JSON schema."""

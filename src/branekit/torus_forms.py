@@ -45,12 +45,13 @@ The module also hosts the integrability diagnostics:
 """
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import NonDegenerateRequired, NotPointwiseBrane
+from .errors import NonDegenerateRequired, NotPointwiseBrane, WalkTooLarge
 from .exterior4 import (
     BIVECTOR_SLOTS,
     Form2,
@@ -416,8 +417,18 @@ def _walk_points(grid, freqs):
     as floats of the same axis as :func:`uniform_grid`.  At rank 4 they are
     ``uniform_grid(grid)`` itself.  A pivot sharing a factor with grid
     leaves some classes walked more than once, which changes no maximum.
+
+    Raises WalkTooLarge, before any array is built, when the arrays of the
+    walk would take more bytes than the machine's physical memory.
     """
     u, r = _frequency_lattice(freqs)
+    # the (grid^r, 4) float points; below rank 4 also the (r, grid^r) indices
+    # and the two (grid^r, 4) integer arrays that index the axis
+    need = grid ** r * (32 if r == 4 else 8 * r + 96)
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise WalkTooLarge(f"a walk of {grid}^{r} grid points needs {need} bytes, "
+                           f"more than the {have} bytes of physical memory")
     if r == 4:
         return uniform_grid(grid)
     axis = 2 * math.pi * np.arange(grid) / grid

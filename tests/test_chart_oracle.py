@@ -297,7 +297,11 @@ exact_scalars = st.one_of(
     st.integers(min_value=-9, max_value=9).map(Fraction),
     st.fractions(min_value=-9, max_value=9, max_denominator=7),
 )
-floats = st.one_of(st.floats(min_value=-1e3, max_value=1e3), st.just(-0.0))
+#: NaN, inf and 1e300 (whose products overflow) besides the finite range
+floats = st.one_of(
+    st.floats(min_value=-1e3, max_value=1e3),
+    st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf"), 1e300]),
+)
 #: exact classes, float classes and classes that mix the two
 kinds = st.sampled_from([exact_scalars, floats, st.one_of(exact_scalars, floats)])
 squares = st.one_of(

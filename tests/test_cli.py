@@ -4,17 +4,23 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import branekit
 from branekit import brane_check, cli, torus_forms
 from branekit.cli import main
 from branekit.torus_forms import TrigPolyFn, TrigPolyForm2
 
 ZEROS = {"12": 0, "13": 0, "14": 0, "23": 0, "24": 0, "34": 0}
+SRC = str(Path(branekit.__file__).resolve().parents[1])
 
 
 def write_json(path, doc):
@@ -335,6 +341,48 @@ class TestVerifyWalk:
         assert report["pass"] is False and report["residuals"]["brane"]["closedness_resid"] > 0
         assert report["checks_agree"] is True
 
+    @pytest.mark.parametrize("command", ["verify", "nijenhuis"])
+    @pytest.mark.parametrize("grid", [3000, 100000])
+    def test_walk_beyond_memory_is_input_error(self, tmp_path, omega_file, command, grid, capsys):
+        # frequencies spanning Z^4 make the walk the whole grid: 32 * grid^4
+        # bytes of points, 2.6 PB at grid 3000, so a missing guard fails at once
+        axes = [[int(i == j) for j in range(4)] for i in range(4)]
+        constant = lambda c: [{"k": [0, 0, 0, 0], "cos": c}]  # noqa: E731
+        form = _trig_file(
+            tmp_path / "rank4.json",
+            {"12": [{"k": k, "cos": 0.5} for k in axes], "13": constant(1), "24": constant(-1)},
+        )
+        out = tmp_path / "never.json"
+        assert main([command, omega_file, form, "--grid", str(grid), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert "physical memory" in err
+        assert not out.exists()
+
+
+class TestConsoleEntry:
+    def test_module_entry_exit_codes_under_warnings_as_errors(self, tmp_path):
+        # python -m branekit.cli runs cli.entry
+        data = resources.files("branekit").joinpath("data")
+
+        def verify(form_file):
+            return subprocess.run(
+                [sys.executable, "-W", "error", "-m", "branekit.cli", "verify",
+                 str(data / "omega0.json"), str(form_file), "--no-timestamp"],
+                capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
+            )
+
+        proc = verify(data / "f0.json")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["pass"] is True
+        proc = verify(data / "rotation_k1000.json")
+        assert proc.returncode == 1, proc.stderr
+        assert json.loads(proc.stdout)["pass"] is False
+        proc = verify(tmp_path / "missing.json")
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:")
+        assert proc.stdout == ""
+
 
 class TestParser:
     def test_two_calls_build_the_parser_at_most_once(
@@ -402,7 +450,7 @@ class TestRefusals:
         assert "base form is not a brane" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("kind", ["constant2", "trigpoly2", "class"])
+    @pytest.mark.parametrize("kind", ["constant2", "trigpoly2", "frequency", "class"])
     def test_number_beyond_the_float_range_is_input_error(
         self, tmp_path, omega_file, f0_file, kind, capsys
     ):
@@ -414,6 +462,9 @@ class TestRefusals:
         elif kind == "trigpoly2":
             form = _trig_file(tmp_path / "form.json", {"13": [{"k": [1, 0, 0, 0], "cos": huge}]})
             argv = ["verify", omega_file, form]
+        elif kind == "frequency":
+            form = _trig_file(tmp_path / "form.json", {"13": [{"k": [huge, 0, 0, 0], "cos": 1}]})
+            argv = ["nijenhuis", omega_file, form]
         else:
             omega = write_json(
                 tmp_path / "omega_k3.json",
@@ -426,7 +477,9 @@ class TestRefusals:
             argv = ["metric", omega, base, "--space", "k3"]
         out = tmp_path / "never.out"
         assert main(argv + ["--out", str(out)]) == 2
-        assert "expected a finite number" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert "expected a finite number, got an integer of 401 digits" in err
         assert not out.exists()
 
 
