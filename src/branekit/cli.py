@@ -21,7 +21,8 @@ File formats (JSON, ``version: 1``):
      "coeffs": {"12": 0, "13": 1, "14": 0, "23": 0, "24": -1, "34": 0}}
 
 * trig-poly 2-form: same but every coefficient is a list of modes
-  ``[{"k": [1, 0, 0, 0], "cos": 0.0, "sin": 1.0}, ...]``;
+  ``[{"k": [1, 0, 0, 0], "cos": 0.0, "sin": 1.0}, ...]``, with no other
+  mode keys (``cos`` and ``sin`` default to 0);
 
 * cohomology class (for ``metric --space k3``)::
 
@@ -52,7 +53,7 @@ from .cohomology import (
     torus_space,
 )
 from .errors import BranekitError, SchemaError
-from .exterior4 import Form2
+from .exterior4 import BIVECTOR_SLOTS, Form2
 from .period_domain import (
     QuadricSpec,
     affine_normal_form,
@@ -73,7 +74,7 @@ from .torus_forms import (
     nijenhuis_defect,
 )
 
-_SLOT_KEYS = ("12", "13", "14", "23", "24", "34")
+_SLOT_KEYS = tuple(f"{a}{b}" for a, b in BIVECTOR_SLOTS)
 
 #: point at which the nijenhuis command evaluates the identity residual
 _IDENTITY_POINT = (0.5, 1.0, 1.5, 2.0)
@@ -110,10 +111,17 @@ def _check_number(value, where):
     return value
 
 
-def _parse_form(doc, path):
+def _file_kind(doc, path):
+    """The ``kind`` of a file object, once its ``version`` is the integer 1."""
     _require(isinstance(doc, dict), f"{path}: top level must be an object")
-    _require(doc.get("version") == 1, f"{path}: unsupported version {doc.get('version')!r}")
-    kind = doc.get("kind")
+    version = doc.get("version")
+    # True == 1 and 1.0 == 1, but neither is the version
+    _require(type(version) is int and version == 1, f"{path}: unsupported version {version!r}")
+    return doc.get("kind")
+
+
+def _parse_form(doc, path):
+    kind = _file_kind(doc, path)
     coeffs = doc.get("coeffs")
     _require(isinstance(coeffs, dict) and set(coeffs) == set(_SLOT_KEYS),
              f"{path}: coeffs must have exactly the keys {_SLOT_KEYS}")
@@ -128,6 +136,8 @@ def _parse_form(doc, path):
             raw = []
             for mode in modes:
                 _require(isinstance(mode, dict), f"{path}: mode entries must be objects")
+                unknown = sorted(set(mode) - {"k", "cos", "sin"})
+                _require(not unknown, f"{path}: unknown mode keys {unknown}")
                 k = mode.get("k")
                 _require(
                     isinstance(k, list) and len(k) == 4 and all(isinstance(i, int) for i in k),
@@ -153,9 +163,7 @@ def _parse_constant_form(doc, path):
 
 
 def _parse_class(doc, path, space):
-    _require(isinstance(doc, dict), f"{path}: top level must be an object")
-    _require(doc.get("version") == 1, f"{path}: unsupported version {doc.get('version')!r}")
-    _require(doc.get("kind") == "class", f"{path}: expected kind 'class'")
+    _require(_file_kind(doc, path) == "class", f"{path}: expected kind 'class'")
     _require(doc.get("space") == space.name, f"{path}: expected space {space.name!r}")
     coeffs = doc.get("coeffs")
     _require(isinstance(coeffs, list) and len(coeffs) == space.dim,
@@ -179,6 +187,7 @@ def _emit(text, out_path):
 
 
 def _finish_report(report, args):
+    report.update(version=1, command=args.command)
     if not getattr(args, "no_timestamp", False):
         report["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     try:
@@ -202,8 +211,6 @@ def cmd_verify(args):
     sb = verify_brane(omega, form, grid=args.grid, tol=args.tol)
     hs = sb.hol_symp
     report = {
-        "version": 1,
-        "command": "verify",
         "inputs": {"omega": args.omega_file, "form": args.form_file},
         "grid": args.grid,
         "tolerances": {"tol": args.tol},
@@ -218,17 +225,19 @@ def cmd_verify(args):
     return 0 if sb.passed else 1
 
 
+def _chart_draws(chart, seed, count):
+    """``count`` chart points (theta, ybar) drawn from ``seed``."""
+    rng, k = np.random.default_rng(seed), len(chart.neg)
+    return [(float(rng.uniform(0.0, 2.0 * math.pi)), tuple(map(float, rng.normal(size=k))))
+            for _ in range(count)]
+
+
 def cmd_quadric(args):
     chart = _t4_chart(args)
-    rng = np.random.default_rng(args.seed)
     rows = []
-    all_pass = True
-    for _ in range(args.samples):
-        theta = float(rng.uniform(0.0, 2.0 * math.pi))
-        ybar = tuple(float(v) for v in rng.normal(size=len(chart.neg)))
+    for theta, ybar in _chart_draws(chart, args.seed, args.samples):
         cls = chart_point(chart, theta, ybar)
         form, rep = reconstruct_brane(chart.spec, cls, tol=max(args.tol, 1e-12))
-        all_pass = all_pass and rep.passed
         rows.append(
             {
                 "theta": theta,
@@ -238,9 +247,8 @@ def cmd_quadric(args):
                 "pass": rep.passed,
             }
         )
+    all_pass = all(row["pass"] for row in rows)
     report = {
-        "version": 1,
-        "command": "quadric",
         "inputs": {"omega": args.omega_file, "base": args.base_file},
         "seed": args.seed,
         "tolerances": {"tol": args.tol},
@@ -257,9 +265,14 @@ def _t4_chart(args):
     base_form = _parse_constant_form(_load_json(args.base_file), args.base_file)
     if not verify_brane(omega, base_form, tol=args.tol).passed:
         raise SchemaError("base form is not a brane for the given symplectic form")
+    return _torus_chart(omega, base_form, args.tol)
+
+
+def _torus_chart(omega, base_form, tol):
+    """The T^4 chart at the class of a constant base form."""
     space = torus_space()
     q = QuadricSpec(space, class_of_constant_form(omega, space))
-    return build_chart(q, class_of_constant_form(base_form, space), tol=args.tol)
+    return build_chart(q, class_of_constant_form(base_form, space), tol=tol)
 
 
 def _metric_chart(args):
@@ -275,11 +288,7 @@ def cmd_metric(args):
     chart = _metric_chart(args)
     k = len(chart.neg)
     if args.sweep:
-        rng = np.random.default_rng(args.seed)
-        params = [
-            (float(rng.uniform(0.0, 2.0 * math.pi)), tuple(float(v) for v in rng.normal(size=k)))
-            for _ in range(args.sweep)
-        ]
+        params = _chart_draws(chart, args.seed, args.sweep)
     else:
         ybar = args.ybar if args.ybar is not None else (0.0,) * k
         if len(ybar) != k:
@@ -333,8 +342,6 @@ def cmd_nijenhuis(args):
         and (max_defect <= flat_tol) == (max_df <= flat_tol)
     )
     report = {
-        "version": 1,
-        "command": "nijenhuis",
         "inputs": {"omega": args.omega_file, "form": args.form_file},
         "grid": args.grid,
         "tolerances": {"tol": args.tol, "h": args.h, "identity_h": identity_h, "flat_tol": flat_tol},
@@ -365,10 +372,7 @@ def cmd_example_torus(args):
             for name, form in (("f0", f0), ("kappa", kappa), ("rotation", rotation))}
     checks = {f"brane_{name}": _report_dict(rep, "tol", "hol_symp") for name, rep in reps.items()}
 
-    space = torus_space()
-    q = QuadricSpec(space, class_of_constant_form(omega, space))
-    base = class_of_constant_form(f0, space)
-    chart = build_chart(q, base, tol=args.tol)
+    chart = _torus_chart(omega, f0, args.tol)
     checks["chart"] = {
         "b": [_num(v) for v in chart.b.coeffs],
         "neg": [[_num(v) for v in n.coeffs] for n in chart.neg],
@@ -426,8 +430,6 @@ def cmd_example_torus(args):
         and normal.squares == (1, 1, -1, -1, -1)
     )
     report = {
-        "version": 1,
-        "command": "example-torus",
         "grid": args.grid,
         "tolerances": {"tol": args.tol},
         "checks": checks,
@@ -441,12 +443,28 @@ def cmd_example_torus(args):
 # --- argument parsing -------------------------------------------------------
 
 
-def _comma_floats(text):
-    try:
-        return tuple(float(v) for v in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated numbers, got {text!r}") from None
+def _ranged(convert, ok, rule):
+    """An argparse ``type``: ``convert`` the text, then require ``ok`` of the value."""
+
+    def parse(text):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:  # also an int past Python's int-to-str digit limit
+            pass
+        raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+
+    return parse
+
+
+_TOL = _ranged(float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
+_STEP = _ranged(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
+_FINITE = _ranged(float, math.isfinite, "a finite number")
+_POINT = _ranged(lambda text: tuple(float(v) for v in text.split(",")),
+                 lambda v: all(map(math.isfinite, v)), "comma-separated finite numbers")
+_COUNT = _ranged(int, lambda v: v >= 0, "an integer >= 0")
+_GRID = _ranged(int, lambda v: v >= 1, "an integer >= 1")
 
 
 def _build_parser():
@@ -458,10 +476,10 @@ def _build_parser():
 
     def common(p, needs_grid=True):
         p.add_argument(
-            "--tol", type=float, default=1e-9, help="verification tolerance, a finite number >= 0"
+            "--tol", type=_TOL, default=1e-9, help="verification tolerance, a finite number >= 0"
         )
         if needs_grid:
-            p.add_argument("--grid", type=int, default=8, help="grid points per axis")
+            p.add_argument("--grid", type=_GRID, default=8, help="grid points per axis")
         p.add_argument("--out", default=None, help="write the report to this path")
         p.add_argument("--no-timestamp", action="store_true", dest="no_timestamp")
 
@@ -474,8 +492,8 @@ def _build_parser():
     p = sub.add_parser("quadric", help="sample the period quadric and reconstruct branes")
     p.add_argument("omega_file")
     p.add_argument("base_file")
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_COUNT, default=100)
+    p.add_argument("--seed", type=_COUNT, default=0)
     common(p, needs_grid=False)
     p.set_defaults(func=cmd_quadric)
 
@@ -483,11 +501,11 @@ def _build_parser():
     p.add_argument("omega_file")
     p.add_argument("base_file")
     p.add_argument("--space", choices=("t4", "k3"), default="t4")
-    p.add_argument("--theta", type=float, default=0.0)
-    p.add_argument("--ybar", type=_comma_floats, default=None,
+    p.add_argument("--theta", type=_FINITE, default=0.0)
+    p.add_argument("--ybar", type=_POINT, default=None,
                    help="comma-separated chart coordinates, all finite")
-    p.add_argument("--sweep", type=int, default=0, help="number of random samples")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--sweep", type=_COUNT, default=0, help="number of random samples")
+    p.add_argument("--seed", type=_COUNT, default=0)
     common(p, needs_grid=False)
     p.set_defaults(func=cmd_metric)
 
@@ -495,7 +513,7 @@ def _build_parser():
     p.add_argument("omega_file")
     p.add_argument("form_file")
     p.add_argument(
-        "--h", type=float, default=1e-5,
+        "--h", type=_STEP, default=1e-5,
         help="central-difference step of the identity residual, which uses "
         "max(h, 1e-5); the defect uses exact derivatives",
     )
@@ -509,27 +527,6 @@ def _build_parser():
     return parser
 
 
-#: (option, test, rule) for each numeric option with a restricted range;
-#: an option a command does not take is skipped
-_OPTION_RULES = (
-    ("tol", lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0"),
-    ("grid", lambda v: v >= 1, "an integer >= 1"),
-    ("h", lambda v: math.isfinite(v) and v > 0, "a finite number > 0"),
-    ("samples", lambda v: v >= 0, "an integer >= 0"),
-    ("sweep", lambda v: v >= 0, "an integer >= 0"),
-    ("seed", lambda v: v >= 0, "an integer >= 0"),
-    ("theta", math.isfinite, "a finite number"),
-    ("ybar", lambda v: all(map(math.isfinite, v)), "comma-separated finite numbers"),
-)
-
-
-def _validate_options(args):
-    for name, ok, rule in _OPTION_RULES:
-        value = getattr(args, name, None)
-        if value is not None and not ok(value):
-            raise SchemaError(f"--{name} must be {rule}, got {value!r}")
-
-
 #: one per process: parsing never changes it, and a dropped parser is garbage
 #: in reference cycles that only the cyclic collector frees
 _PARSER = _build_parser()
@@ -541,11 +538,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _validate_options(args)
-        return args.func(args)
+        # an overflow to inf or NaN reaches a check or the report, and both refuse it
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (BranekitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except OverflowError as exc:  # an exact number that no float can hold
+        print(f"error: a value beyond the float range ({exc})", file=sys.stderr)
+    return 2
 
 
 def entry():

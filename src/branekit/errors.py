@@ -42,7 +42,7 @@ class NonPositiveSquare(BranekitError, ValueError):
 
 
 class NonFiniteMatrix(BranekitError):
-    """A matrix whose signature is asked for holds NaN or inf."""
+    """A matrix whose signature or rank is asked for holds NaN or inf."""
 
 
 class DegenerateSubspace(BranekitError):

@@ -162,6 +162,8 @@ def _positive_direction(q, projections, tol_eff):
         if u is None:
             break
         stacked = np.vstack([coords, u.array()])
+        if not np.isfinite(stacked).all():  # LAPACK fails on NaN or inf
+            raise NonFiniteMatrix("a chart candidate is beyond the float range")
         if np.linalg.matrix_rank(stacked, tol=1e-9) > len(basis):
             basis.append(u)
             coords = stacked

@@ -1,5 +1,6 @@
 """Command-line surface: schemas, exit codes, determinism."""
 
+import contextlib
 import csv
 import io
 import json
@@ -7,11 +8,13 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from importlib import resources
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import branekit
@@ -280,6 +283,16 @@ class TestOptionRanges:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["x", "0"])
+    def test_unconvertible_and_out_of_range_values_fail_alike(
+        self, omega_file, f0_file, tmp_path, value, capsys
+    ):
+        out = tmp_path / "never.json"
+        assert main(["verify", omega_file, f0_file, "--grid", value, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: argument --grid: must be an integer >= 1, got '{value}'" in err
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("error")
     def test_non_finite_metric_is_input_error(self, omega_file, f0_file, tmp_path):
         # finite coordinates whose square overflows are refused before numpy
@@ -428,6 +441,12 @@ def _trig_file(path, slot_modes):
     return write_json(path, {"version": 1, "kind": "trigpoly2", "coeffs": coeffs})
 
 
+def _k3_file(path, leading, version=1):
+    """A K3 class file whose coefficients start with ``leading``, zeros after."""
+    coeffs = list(leading) + [0] * (22 - len(leading))
+    return write_json(path, {"version": version, "kind": "class", "space": "k3", "coeffs": coeffs})
+
+
 class TestRefusals:
     def test_unknown_kind_is_input_error(self, tmp_path, omega_file, capsys):
         form = write_json(
@@ -448,6 +467,35 @@ class TestRefusals:
         out = tmp_path / "never.out"
         assert main(command[:1] + [omega_file, base] + command[1:] + ["--out", str(out)]) == 2
         assert "base form is not a brane" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_mode_key_is_input_error(self, tmp_path, omega_file, capsys):
+        # a misspelt "cos" used to be read as cos = sin = 0
+        form = _trig_file(tmp_path / "form.json", {
+            "12": [{"k": [1, 0, 0, 0], "cso": 1}],
+            "13": [{"k": [0, 0, 0, 0], "cos": 1}],
+            "24": [{"k": [0, 0, 0, 0], "cos": -1}],
+        })
+        out = tmp_path / "never.json"
+        assert main(["verify", omega_file, form, "--out", str(out)]) == 2
+        assert "unknown mode keys ['cso']" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["constant2", "class"])
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_version_must_be_the_integer_1(self, tmp_path, omega_file, kind, version, capsys):
+        if kind == "constant2":
+            coeffs = dict(ZEROS, **{"13": 1, "24": -1})
+            form = write_json(tmp_path / "form.json",
+                              {"version": version, "kind": kind, "coeffs": coeffs})
+            argv = ["verify", omega_file, form]
+        else:
+            omega = _k3_file(tmp_path / "omega.json", [1])
+            base = _k3_file(tmp_path / "base.json", [0, 1], version)
+            argv = ["metric", omega, base, "--space", "k3"]
+        out = tmp_path / "never.out"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert f"unsupported version {version!r}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["constant2", "trigpoly2", "frequency", "class"])
@@ -507,6 +555,82 @@ class TestRefusals:
         form = tmp_path / "form.json"
         form.write_bytes(b"\xff\xfe{")
         assert main(["verify", omega_file, str(form)]) == 2
+
+
+class TestBeyondTheFloatRange:
+    """Exact numbers that no float holds, and float arithmetic that overflows."""
+
+    @pytest.mark.parametrize("case", ["omega", "constant2", "trigpoly2", "class"])
+    def test_exact_number_beyond_the_float_range_is_input_error(
+        self, tmp_path, omega_file, f0_file, case, capsys
+    ):
+        huge = 10 ** 300  # each number passes _check_number; a product or quotient does not
+        if case == "omega":
+            omega = write_json(tmp_path / "omega.json", {
+                "version": 1, "kind": "constant2", "coeffs": dict(ZEROS, **{"14": huge, "23": huge}),
+            })
+            argv = ["verify", omega, f0_file]
+        elif case == "constant2":
+            form = write_json(tmp_path / "form.json", {
+                "version": 1, "kind": "constant2", "coeffs": dict(ZEROS, **{"13": huge, "24": -huge}),
+            })
+            argv = ["verify", omega_file, form]
+        elif case == "trigpoly2":
+            k = [10 ** 9, 0, 0, 0]
+            form = _trig_file(tmp_path / "form.json", {
+                "13": [{"k": k, "cos": huge}], "24": [{"k": k, "cos": -huge}],
+            })
+            argv = ["verify", omega_file, form]
+        else:
+            omega = _k3_file(tmp_path / "omega.json", [huge])
+            base = _k3_file(tmp_path / "base.json", [0, huge])
+            argv = ["metric", omega, base, "--space", "k3"]
+        out = tmp_path / "never.out"
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert "beyond the float range" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["verify", "nijenhuis"])
+    def test_float_overflow_is_input_error_under_warnings_as_errors(self, tmp_path, command):
+        data = resources.files("branekit").joinpath("data")
+        if command == "verify":  # the wedges overflow to inf, which the report refuses
+            k = [1, 0, 0, 0]
+            form = _trig_file(tmp_path / "form.json", {
+                "13": [{"k": k, "cos": 1e200}], "24": [{"k": k, "cos": -1e200}],
+            })
+        else:  # 1e200 F0, whose I-field is not finite
+            form = write_json(tmp_path / "form.json", {
+                "version": 1, "kind": "constant2", "coeffs": dict(ZEROS, **{"13": 1e200, "24": -1e200}),
+            })
+        out = tmp_path / "never.json"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "branekit.cli", command,
+             str(data / "omega0.json"), form, "--out", str(out)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:")
+        if command == "verify":
+            assert "non-finite" in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["quadric"], ["metric", "--sweep", "2"]])
+    def test_chart_candidate_beyond_the_float_range_is_input_error(
+        self, tmp_path, f0_file, command, capsys
+    ):
+        # omega0 + 1e200 e12 is a brane for F0, but projecting the chart
+        # candidates off its class overflows
+        base = write_json(tmp_path / "base.json", {
+            "version": 1, "kind": "constant2",
+            "coeffs": dict(ZEROS, **{"12": 1e200, "14": 1, "23": 1}),
+        })
+        out = tmp_path / "never.out"
+        assert main(command[:1] + [f0_file, base] + command[1:] + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "beyond the float range" in err
+        assert not out.exists()
 
 
 class TestHugeFrequencies:
@@ -571,3 +695,140 @@ class TestParseForm:
         doc = {"version": 1, "kind": "trigpoly2", "coeffs": dict(zip(ZEROS, slots))}
         want = TrigPolyForm2(tuple(_fold(modes) for modes in slots))
         assert cli._parse_form(doc, "form.json") == want
+
+
+# --- the exit-code contract over drawn inputs --------------------------------
+
+
+def _mostly(valid, near_miss):
+    """Draws from ``valid`` seven times in eight, else from ``near_miss``."""
+    return st.integers(0, 7).flatmap(lambda roll: near_miss if roll == 0 else valid)
+
+
+# numbers that pass the schema (some overflow in arithmetic), and ones that do not
+_numbers = _mostly(
+    st.sampled_from([0, 1, -1, 3, 0.5, -0.25, 1e200, -1e200, 10 ** 300, -(10 ** 300)]),
+    st.sampled_from([10 ** 400, math.nan, math.inf, -math.inf, True, "1", None]),
+)
+_frequencies = _mostly(
+    st.one_of(st.lists(st.integers(-2, 2), min_size=4, max_size=4),
+              st.sampled_from([[2 ** 70, 0, 0, 0], [10 ** 9, 0, 0, 0]])),
+    st.sampled_from([[10 ** 400, 0, 0, 0], [1, 0, 0], [1.0, 0, 0, 0], [True, 0, 0, 0]]),
+)
+_mode_entries = _mostly(
+    st.fixed_dictionaries({"k": _frequencies}, optional={"cos": _numbers, "sin": _numbers}),
+    st.fixed_dictionaries({"k": _frequencies, "cso": _numbers}),
+)
+# one scale for both files of a call keeps a brane a brane
+_scales = st.sampled_from([1, 1, 1, -1, 2, 0.5, 1e200, 10 ** 300])
+_OMEGA0, _F0, _KAPPA = {"14": 1, "23": 1}, {"13": 1, "24": -1}, {"12": 1, "34": 1}
+# a degenerate omega, and 2 F0, which is not a brane for omega0
+_omegas = _mostly(st.just(_OMEGA0), st.just({"12": 1}))
+_forms = _mostly(st.sampled_from([_F0, _KAPPA]), st.just({"13": 2, "24": -2}))
+_flaw = _mostly(st.just(False), st.just(True))
+
+
+@st.composite
+def _envelope(draw, kind, coeffs, **extra):
+    doc = {"version": 1, "kind": kind, "coeffs": coeffs, **extra}
+    if draw(_flaw):  # a wrong version or kind
+        doc[draw(st.sampled_from(["version", "kind"]))] = draw(
+            st.sampled_from([True, 1.0, 2, "1", None, "class", "constant2"]))
+    return doc
+
+
+@st.composite
+def _constant_doc(draw, pairs, scale):
+    coeffs = dict(ZEROS, **{key: scale * c for key, c in draw(pairs).items()})
+    if draw(_flaw):
+        coeffs[draw(st.sampled_from(sorted(ZEROS)))] = draw(_numbers)
+    return draw(_envelope("constant2", coeffs))
+
+
+@st.composite
+def _trig_doc(draw, scale):
+    # a constant pair plus drawn modes, some slots empty, some modes twice
+    coeffs = {key: [{"k": [0, 0, 0, 0], "cos": scale * c}] for key, c in draw(_forms).items()}
+    for key in draw(st.lists(st.sampled_from(sorted(ZEROS)), max_size=3)):
+        modes = draw(st.lists(_mode_entries, max_size=2))
+        coeffs[key] = coeffs.get(key, []) + modes + modes[:draw(st.integers(0, 1))]
+    return draw(_envelope("trigpoly2", {key: coeffs.get(key, []) for key in ZEROS}))
+
+
+@st.composite
+def _class_doc(draw, leading, scale):
+    coeffs = [scale * c for c in leading] + [0] * (22 - len(leading))
+    if draw(_flaw):
+        coeffs[draw(st.integers(0, 21))] = draw(_numbers)
+    return draw(_envelope("class", coeffs, space="k3"))
+
+
+def _option(name, valid, out_of_range):
+    """No value (the default), a value in range, or now and then one outside it."""
+    return _mostly(st.sampled_from([None, *valid]), st.sampled_from(out_of_range)).map(
+        lambda v: [] if v is None else [name, str(v)])
+
+
+# --grid at most 6 (1,296 points), --samples and --sweep at most 3
+_tol = _option("--tol", [0, 1e-9, 1e300], [-1, "nan", "inf", "x"])
+_grid = _option("--grid", [1, 2, 6], [0, -1, "x"])
+_seed = _option("--seed", [0, 5, 2 ** 70], [-1, "x"])
+_count = lambda name: _option(name, [0, 1, 3], [-1, "x"])  # noqa: E731
+
+
+@st.composite
+def _calls(draw):
+    """A command line as (argv head, input documents, options)."""
+    scale = draw(_scales)
+    omega, form = _constant_doc(_omegas, scale), _constant_doc(_forms, scale)
+    head = draw(st.sampled_from(
+        [["verify"], ["nijenhuis"], ["quadric"], ["metric"], ["metric", "--space", "k3"],
+         ["example-torus"]]))
+    if head == ["verify"]:
+        docs, options = [omega, st.one_of(form, _trig_doc(scale))], [_grid, _tol]
+    elif head == ["nijenhuis"]:
+        docs = [omega, st.one_of(form, _trig_doc(scale))]
+        options = [_grid, _tol, _option("--h", [1e-5, 1], [0, -1, "nan"])]
+    elif head == ["quadric"]:
+        docs, options = [omega, form], [_count("--samples"), _seed, _tol]
+    elif head == ["metric"]:
+        docs = [omega, form]
+        options = [_count("--sweep"), _seed, _tol, _option("--theta", [-3, 1e300], ["nan", "inf"]),
+                   _option("--ybar", ["1,0,0", "1e200,0,0"], ["1,2", "nan,0,0", "x"])]
+    elif head == ["metric", "--space", "k3"]:
+        docs = [_class_doc([1], scale), _class_doc([0, 1], scale)]
+        options = [_count("--sweep"), _seed, _tol]
+    else:
+        docs, options = [], [_grid, _tol]
+    return head, [draw(doc) for doc in docs], [part for opt in options for part in draw(opt)]
+
+
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError(f"non-finite literal {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestExitCodeContract:
+    @settings(max_examples=200)
+    @given(call=_calls())
+    def test_every_input_exits_0_1_or_2(self, call):
+        head, docs, options = call
+        with tempfile.TemporaryDirectory() as tmp:
+            files = [write_json(Path(tmp, f"in{i}.json"), doc) for i, doc in enumerate(docs)]
+            out = Path(tmp, "report.out")
+            argv = head[:1] + files + head[1:] + options + ["--no-timestamp", "--out", str(out)]
+            err = io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+                warnings.simplefilter("error")
+                code = main(argv)
+            assert code in (0, 1, 2)
+            if code == 2:
+                assert not out.exists()
+                assert "error:" in err.getvalue().splitlines()[-1]
+            elif head[0] == "metric":
+                rows = list(csv.reader(io.StringIO(out.read_text())))
+                assert all(math.isfinite(float(v)) for row in rows[1:] for v in row)
+            else:
+                assert _strict_json(out.read_text())["command"] == head[0]

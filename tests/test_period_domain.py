@@ -449,6 +449,21 @@ class TestHodgeSplitting:
         with pytest.raises(NotInQuadric):
             hodge_splitting(Q, W0C)
 
+    @pytest.mark.parametrize("space, omega, base", [
+        (SPACE, W0C.coeffs, F0C.coeffs),
+        (K3, (1, 2, 0, 0, 0, 2) + (0,) * 16, (-2, -1, 0, 0, 0, -2) + (0,) * 16),
+    ])
+    def test_float_classes_split_by_svd(self, space, omega, base):
+        omega = CohClass(space, tuple(map(float, omega)))
+        base = CohClass(space, tuple(map(float, base)))
+        _, h11 = hodge_splitting(QuadricSpec(space, omega), base)
+        assert len(h11) == space.dim - 2
+        for h in h11:
+            assert all(isinstance(v, float) for v in h.coeffs)
+            assert abs(h.pair(base)) <= 1e-12 and abs(h.pair(omega)) <= 1e-12
+        gram = [[u.pair(v) for v in h11] for u in h11]
+        assert signature(gram) == (1, space.dim - 3)
+
     def test_boosted_k3_splitting_is_exact(self):
         omega = CohClass(K3, (1, 2, 0, 0, 0, 2) + (0,) * 16)
         base = CohClass(K3, (-2, -1, 0, 0, 0, -2) + (0,) * 16)
