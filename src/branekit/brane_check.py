@@ -33,8 +33,8 @@ from .exterior4 import (
     max_abs,
     wedge,
 )
-from .torus_forms import (check_omega, closed_i_square_resid, constant_coeffs, exterior_d,
-                          fiber_blocks, i_basis)
+from .torus_forms import (check_omega, constant_coeffs, exterior_d, fiber_blocks, i_basis,
+                          i_square_peak, i_square_terms)
 
 
 @dataclass(frozen=True)
@@ -109,13 +109,38 @@ def _hol_symp_report(blocks, closed, grid_used, tol) -> HolSympReport:
     return HolSympReport(positivity_min, square_resid, closed_resid, passed, grid_used, tol)
 
 
-def _i_entries(omega, basis, f_rows, tol):
-    """I's 16 row-major entries on a block of F's rows: ``basis.T @ f_rows``
-    on the grid, the exact entries of compose_i for a constant F (basis
-    None); NonDegenerateRequired when pf(omega)^2 <= tol."""
+def fiber_residuals(omega: Form2, basis, fc, oc, i_tol):
+    """F^F, F^omega, omega^omega and the 16 entries of I^2 + Id
+    (:func:`i_square_terms`) at the fibers of one block, before any
+    reduction.
+
+    ``fc`` and ``oc`` hold the six coefficients of F and of the constant
+    omega: exact or float scalars at one fiber, or rows with one entry per
+    fiber.  I's entries are ``basis.T @ fc`` on a grid block of
+    :func:`fiber_blocks` (``basis`` from i_basis) and those of compose_i
+    otherwise (``basis`` None), so (S,) arrays of S constant forms give each
+    form the bits of its own one-fiber residuals.  NonDegenerateRequired
+    when pf(omega)^2 <= i_tol.
+    """
+    w_ff, w_fo, w_oo = wedge(fc, fc), wedge(fc, oc), wedge(oc, oc)
     if basis is None:
-        return [e for row in compose_i(omega, Form2.from_coeffs(f_rows), tol).m for e in row]
-    return basis.T @ f_rows
+        entries = [e for row in compose_i(omega, Form2.from_coeffs(fc), i_tol).m for e in row]
+    else:
+        entries = basis.T @ fc
+    return w_ff, w_fo, w_oo, i_square_terms(entries, w_ff, w_fo, w_oo)
+
+
+def _i_tol(omega, tol):
+    """The pf(omega)^2 tolerance of the brane check, once omega passes
+    check_omega."""
+    check_omega(omega, tol)
+    return min(tol, 1e-12)
+
+
+def _brane_passed(r_sq, r_orth, r_closed, r_i, orientation_ok, tol):
+    """Every residual at most tol and F^F positive; elementwise over arrays
+    of residuals.  A NaN residual fails."""
+    return (r_sq <= tol) & (r_orth <= tol) & (r_closed <= tol) & (r_i <= tol) & orientation_ok
 
 
 def verify_brane(omega: Form2, f, grid: int = 8, tol: float = 1e-9) -> BraneReport:
@@ -128,15 +153,14 @@ def verify_brane(omega: Form2, f, grid: int = 8, tol: float = 1e-9) -> BraneRepo
     holomorphic-symplectic report of f + i*omega (``hol_symp``), equal to
     ``verify_holomorphic_symplectic(f, omega, grid, tol)``.
     """
-    check_omega(omega, tol)
-    i_tol = min(tol, 1e-12)
+    i_tol = _i_tol(omega, tol)
     basis = None if constant_coeffs(f) is not None else i_basis(omega, i_tol)
     hs, orth, i_sq, low = [], [], [], []
     for fc, oc in fiber_blocks(grid, f, omega):
-        w_ff, w_fo, w_oo = wedge(fc, fc), wedge(fc, oc), wedge(oc, oc)
+        w_ff, w_fo, w_oo, i_terms = fiber_residuals(omega, basis, fc, oc, i_tol)
         hs.append(_hol_symp_block(w_ff, w_oo, w_fo))
         orth.append(_peak(w_fo))
-        i_sq.append(closed_i_square_resid(_i_entries(omega, basis, fc, i_tol), w_ff, w_fo, w_oo))
+        i_sq.append(i_square_peak(i_terms))
         low.append(_low(w_ff))
     # F^F - omega^omega is the real part of (F + i omega)^(F + i omega)
     r_sq, r_orth, r_i = max_abs(block[0] for block in hs), max_abs(orth), max_abs(i_sq)
@@ -144,14 +168,32 @@ def verify_brane(omega: Form2, f, grid: int = 8, tol: float = 1e-9) -> BraneRepo
     sampled = isinstance(w_ff, np.ndarray)
     r_closed = float(closed) if sampled else closed  # grid: floats
     orientation_ok = bool(_least(low) > 0)
-    passed = (
-        r_sq <= tol and r_orth <= tol and r_closed <= tol and r_i <= tol and orientation_ok
-    )
+    passed = _brane_passed(r_sq, r_orth, r_closed, r_i, orientation_ok, tol)
     grid_used = grid ** 4 if sampled else 1
     hol_symp = _hol_symp_report(hs, [closed, _closedness_resid(omega)], grid_used, tol)
     return BraneReport(
         r_sq, r_orth, r_closed, r_i, orientation_ok, passed, grid_used, tol, hol_symp
     )
+
+
+def constant_branes_pass(omega: Form2, fc, tol: float = 1e-9):
+    """``verify_brane(omega, F, tol=tol).passed`` for S constant forms F at once.
+
+    ``fc`` holds their six coefficients as (S,) float arrays, one entry per
+    form; entry s of the (S,) bool result is form s's verdict, from the
+    :func:`fiber_residuals` of its one-fiber check (a constant form is
+    closed).  Only the reductions are per entry: the I^2 + Id peak is the
+    max over the 16 entries of each form.
+    """
+    i_tol = _i_tol(omega, tol)
+    w_ff, w_fo, w_oo, i_terms = fiber_residuals(omega, None, fc, omega.coeffs, i_tol)
+
+    def per_form(x):  # an exact omega may leave object arrays of floats
+        return np.asarray(x, dtype=float)
+
+    r_i = np.abs(per_form(i_terms)).max(axis=0)  # ndarray.max keeps a NaN
+    return _brane_passed(np.abs(per_form(w_ff - w_oo)), np.abs(per_form(w_fo)), 0, r_i,
+                         per_form(w_ff) > 0, tol)
 
 
 def verify_holomorphic_symplectic(
@@ -243,9 +285,8 @@ def linearized_deformation_check(
     basis = None if constant_coeffs(f) is not None else i_basis(omega, 1e-12)
     peaks = []
     for fc, ac, oc in fiber_blocks(grid, f, alpha, omega):
-        vol = wedge(oc, oc)
-        entries = _i_entries(omega, basis, fc, 1e-12)
-        if not closed_i_square_resid(entries, wedge(fc, fc), wedge(fc, oc), vol) <= max(tol, 1e-9):
+        _, _, vol, i_terms = fiber_residuals(omega, basis, fc, oc, 1e-12)
+        if not i_square_peak(i_terms) <= max(tol, 1e-9):
             raise NotAlmostComplex("type projection needs I*I = -Id")
         w_f, w_o = wedge(ac, fc), wedge(ac, oc)
         peaks += [_peak(exact_div(w_f * x + w_o * y, vol)) for x, y in zip(fc, oc)]

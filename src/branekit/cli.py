@@ -52,15 +52,14 @@ from .cohomology import (
     k3_space,
     torus_space,
 )
-from .errors import BranekitError, SchemaError
+from .errors import BranekitError, SchemaError, SweepTooLarge
 from .exterior4 import BIVECTOR_SLOTS, Form2
 from .period_domain import (
     QuadricSpec,
     affine_normal_form,
     build_chart,
-    chart_point,
     metric_sweep,
-    reconstruct_brane,
+    quadric_sweep,
     torus_quadric_alt_value,
     torus_quadric_coefficients,
     torus_quadric_residuals,
@@ -72,6 +71,7 @@ from .torus_forms import (
     constant_coeffs,
     integrability_identity_residual,
     nijenhuis_defect,
+    physical_memory,
 )
 
 _SLOT_KEYS = tuple(f"{a}{b}" for a, b in BIVECTOR_SLOTS)
@@ -225,8 +225,21 @@ def cmd_verify(args):
     return 0 if sb.passed else 1
 
 
-def _chart_draws(chart, seed, count):
-    """``count`` chart points (theta, ybar) drawn from ``seed``."""
+#: the least a reported number takes until its report is written: a float
+#: object (24 bytes), its list or dict slot (8) and 16 characters of text
+_NUMBER_BYTES = 48
+
+
+def _chart_draws(chart, seed, count, sample_bytes):
+    """``count`` chart points (theta, ybar) drawn from ``seed``.
+
+    Raises SweepTooLarge before the first draw when ``count`` samples of
+    ``sample_bytes`` each would take more than the machine's physical memory.
+    """
+    need, have = count * sample_bytes, physical_memory()
+    if need > have:
+        raise SweepTooLarge(f"{count} samples need at least {need} bytes, "
+                            f"more than the {have} bytes of physical memory")
     rng, k = np.random.default_rng(seed), len(chart.neg)
     return [(float(rng.uniform(0.0, 2.0 * math.pi)), tuple(map(float, rng.normal(size=k))))
             for _ in range(count)]
@@ -234,19 +247,19 @@ def _chart_draws(chart, seed, count):
 
 def cmd_quadric(args):
     chart = _t4_chart(args)
-    rows = []
-    for theta, ybar in _chart_draws(chart, args.seed, args.samples):
-        cls = chart_point(chart, theta, ybar)
-        form, rep = reconstruct_brane(chart.spec, cls, tol=max(args.tol, 1e-12))
-        rows.append(
-            {
-                "theta": theta,
-                "ybar": list(ybar),
-                "class": [float(v) for v in cls.coeffs],
-                "form": {k: float(v) for k, v in zip(_SLOT_KEYS, form.coeffs)},
-                "pass": rep.passed,
-            }
-        )
+    # a row reports theta, ybar, the class and the six form coefficients
+    numbers = 1 + len(chart.neg) + chart.spec.space.dim + 6
+    draws = _chart_draws(chart, args.seed, args.samples, _NUMBER_BYTES * numbers)
+    rows = [
+        {
+            "theta": sample.theta,
+            "ybar": list(sample.ybar),
+            "class": list(sample.cls.coeffs),
+            "form": dict(zip(_SLOT_KEYS, sample.form.coeffs)),
+            "pass": sample.passed,
+        }
+        for sample in quadric_sweep(chart, draws, tol=max(args.tol, 1e-12))
+    ]
     all_pass = all(row["pass"] for row in rows)
     report = {
         "inputs": {"omega": args.omega_file, "base": args.base_file},
@@ -287,8 +300,17 @@ def _metric_chart(args):
 def cmd_metric(args):
     chart = _metric_chart(args)
     k = len(chart.neg)
+    header = (
+        ["theta"]
+        + [f"y{i}" for i in range(4, 4 + k)]
+        + ["g_theta_theta", "g_theta_theta_sqrt_form", "circle_ratio"]
+        + [f"g_y{i}_y{i}" for i in range(4, 4 + k)]
+        + ["off_diag_max", "gamma_resid", "sig_pos", "sig_neg"]
+    )
     if args.sweep:
-        params = _chart_draws(chart, args.seed, args.sweep)
+        # a sample keeps its metric, (1 + k)^2 floats, and its row's numbers
+        sample_bytes = 8 * (1 + k) ** 2 + _NUMBER_BYTES * len(header)
+        params = _chart_draws(chart, args.seed, args.sweep, sample_bytes)
     else:
         ybar = args.ybar if args.ybar is not None else (0.0,) * k
         if len(ybar) != k:
@@ -297,13 +319,6 @@ def cmd_metric(args):
 
     buf = io.StringIO()
     writer = csv.writer(buf)
-    header = (
-        ["theta"]
-        + [f"y{i}" for i in range(4, 4 + k)]
-        + ["g_theta_theta", "g_theta_theta_sqrt_form", "circle_ratio"]
-        + [f"g_y{i}_y{i}" for i in range(4, 4 + k)]
-        + ["off_diag_max", "gamma_resid", "sig_pos", "sig_neg"]
-    )
     writer.writerow(header)
     for (theta, ybar), sample in zip(params, metric_sweep(chart, params)):
         writer.writerow(

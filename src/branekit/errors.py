@@ -65,5 +65,9 @@ class WalkTooLarge(BranekitError):
     """A grid walk would need more memory than the machine has."""
 
 
+class SweepTooLarge(BranekitError):
+    """A sample sweep would need more memory than the machine has."""
+
+
 class SchemaError(BranekitError):
     """An input file does not conform to the expected JSON schema."""

@@ -21,7 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .brane_check import verify_brane
+from .brane_check import constant_branes_pass, verify_brane
 from .cohomology import (
     CohClass,
     IntersectionSpace,
@@ -42,7 +42,7 @@ from .errors import (
     SpaceMismatch,
     TargetOutsideSpan,
 )
-from .exterior4 import exact_div, half, is_exact
+from .exterior4 import Form2, exact_div, half, is_exact
 
 
 @dataclass(frozen=True)
@@ -333,6 +333,69 @@ def metric_sweep(chart: QuadricChart, params) -> list:
         for theta, ybar, gi, sig, off, resid, r in zip(
             thetas, ybars, g, signatures, off_diag_max, gamma_resid, roots
         )
+    ]
+
+
+@dataclass(frozen=True)
+class QuadricSample:
+    """One chart point of :func:`quadric_sweep`: its class, the class's
+    constant-form representative and whether that form is a brane, as
+    ``chart_point`` and ``reconstruct_brane`` give them."""
+
+    theta: float
+    ybar: tuple
+    cls: CohClass
+    form: Form2
+    passed: bool
+
+
+def quadric_sweep(chart: QuadricChart, params, tol: float = 1e-9) -> list:
+    """``reconstruct_brane(chart.spec, chart_point(chart, theta, ybar), tol)``
+    at every (theta, ybar) of ``params``, in one pass over stacked arrays;
+    a list of QuadricSample in the order of ``params``.
+
+    Every value comes from the same floating-point operations as for that
+    sample alone, with ybar taken as floats: the stretch and cos, sin of
+    theta per sample as in ``chart_point``, its sums over the float chart
+    vectors, membership by ``CohClass.pair`` and the verdict by
+    ``constant_branes_pass`` on the stacked forms of
+    ``constant_form_of_class``.  ValueError when a ybar has the wrong
+    length; NotInQuadric when a sample misses the quadric.
+    """
+    k = len(chart.neg)
+    thetas, ybars, cos_part, sin_part = [], [], [], []
+    for theta, ybar in params:
+        ybar = tuple(float(y) for y in ybar)
+        if len(ybar) != k:
+            raise ValueError(f"ybar must have length {k}")
+        stretch = math.sqrt(1.0 + sum(y ** 2 for y in ybar))
+        thetas.append(float(theta))
+        ybars.append(ybar)
+        cos_part.append(stretch * math.cos(theta))
+        sin_part.append(stretch * math.sin(theta))
+    if not thetas:
+        return []
+    base_a, b_a, neg_a = chart.vectors[0], chart.vectors[1], chart.vectors[2:]
+    q = chart.spec
+
+    def off(x):  # |x| > tol or NaN; an exact omega may leave object arrays
+        return ~(np.abs(np.asarray(x, dtype=float)) <= tol)
+
+    # an infinite stretch gives NaN classes, silently as in Python floats
+    with np.errstate(invalid="ignore", over="ignore"):
+        coords = np.array(cos_part)[:, None] * base_a + np.array(sin_part)[:, None] * b_a
+        y = np.array(ybars).reshape(len(thetas), k)
+        for j in range(k):
+            coords = coords + y[:, j, None] * neg_a[j]
+        stack = CohClass(q.space, tuple(coords.T))  # one (S,) column per coefficient
+        if (off(stack.pair(q.omega)) | off(stack.pair(stack) - q.omega_sq)).any():
+            raise NotInQuadric("class fails the quadric conditions")
+    forms = constant_form_of_class(stack)
+    passed = constant_branes_pass(constant_form_of_class(q.omega), forms.coeffs, tol)
+    return [
+        QuadricSample(theta, ybar, CohClass(q.space, tuple(c)), Form2.from_coeffs(f), ok)
+        for theta, ybar, c, f, ok in zip(thetas, ybars, coords.tolist(),
+                                          np.stack(forms.coeffs, axis=1).tolist(), passed.tolist())
     ]
 
 

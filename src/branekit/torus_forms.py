@@ -26,7 +26,7 @@ see :func:`i_basis`) runs on the grid as two constant tables in F, built
 once per call from ``i_basis``, with no per-point I-field:
 
 * I^2 + Id in closed form, 2c I + (1 - r) Id from I's entries and the
-  block's wedges (:func:`closed_i_square_resid`); the same formula gives
+  block's wedges (:func:`i_square_terms`); the same formula gives
   the exact value at one fiber from the entries of ``compose_i``;
 * the Nijenhuis tensor, bilinear in F and its partials, as one (144, 24)
   table derived from the one Nijenhuis formula (:func:`_nijenhuis_table`).
@@ -144,7 +144,9 @@ class TrigPolyFn:
         if not isinstance(other, TrigPolyFn):
             if not isinstance(other, (int, float, Fraction)):
                 return NotImplemented
-            return TrigPolyFn(tuple((k, other * a, other * b) for k, a, b in self.modes))
+            scaled = ((k, other * a, other * b) for k, a, b in self.modes)
+            # a mode scaled to zero is dropped, as _canonical_modes drops it
+            return TrigPolyFn(tuple((k, a, b) for k, a, b in scaled if a != 0 or b != 0))
         h = half(is_exact(*(v for _, a, b in self.modes + other.modes for v in (a, b))))
         raw = []
         for k1, a1, b1 in self.modes:
@@ -229,26 +231,58 @@ class TrigPolyForm3(_TrigPolyForm):
         return max_abs(fn.coefficient_norm() for fn in self.c)
 
 
+#: slot ab of d of a 1-form: the (input slot, partial, sign) terms +d_a c_b, -d_b c_a
+_D_OF_1FORM = tuple(((b - 1, a - 1, 1), (a - 1, b - 1, -1)) for a, b in BIVECTOR_SLOTS)
+
+#: slot abc of d of a 2-form: the terms +d_a c_bc, -d_b c_ac, +d_c c_ab
+_D_OF_2FORM = tuple(
+    tuple((BIVECTOR_SLOTS.index(pair), axis - 1, sign)
+          for pair, axis, sign in (((b, c), a, 1), ((a, c), b, -1), ((a, b), c, 1)))
+    for a, b, c in TRIVECTOR_SLOTS
+)
+
+
+def _partials_sum(fns, terms):
+    """The sum of sign * d_i fns[s] over ``terms`` (s, i, sign), merged once.
+
+    d_i of a mode (k, a, b) is (k, b k_i, -a k_i), and the sign multiplies
+    k_i, which is exact.  A term whose two values are zero (k_i = 0, for
+    finite coefficients) is skipped, as ``derivative`` drops it, and a
+    frequency whose running sum reaches zero is dropped at once, as each
+    ``+`` or ``-`` between the partials drops it.  So for functions with
+    canonical modes every value has the bits and type of the chain
+    ``derivative(i) - derivative(j) + ...``.
+    """
+    acc = {}
+    for s, i, sign in terms:
+        for k, a, b in fns[s].modes:
+            ki = sign * k[i]
+            da, db = b * ki, -a * ki
+            if da == 0 and db == 0:
+                continue
+            if k < ZERO_K:  # a leading negative component, as _canonical_modes flips it
+                k, db = tuple(-v for v in k), -db
+            old = acc.get(k)
+            if old is None:
+                acc[k] = (0 + da, 0 + db)
+                continue
+            da, db = old[0] + da, old[1] + db
+            if da == 0 and db == 0:
+                del acc[k]
+            else:
+                acc[k] = (da, db)
+    return TrigPolyFn(tuple((k, a, b) for k, (a, b) in sorted(acc.items())))
+
+
 def exterior_d(form):
-    """Exact exterior derivative of a trig-poly function, 1-form or 2-form."""
+    """Exact exterior derivative of a trig-poly function, 1-form or 2-form;
+    each slot of d of a form is one merge of its partials' modes."""
     if isinstance(form, TrigPolyFn):
         return TrigPolyForm1(tuple(form.derivative(i) for i in range(4)))
     if isinstance(form, TrigPolyForm1):
-        out = []
-        for a, b in BIVECTOR_SLOTS:
-            # d(c_b e^b) picks up +d_a c_b e^{ab}; d(c_a e^a) picks up -d_b c_a
-            out.append(form.c[b - 1].derivative(a - 1) - form.c[a - 1].derivative(b - 1))
-        return TrigPolyForm2(tuple(out))
+        return TrigPolyForm2(tuple(_partials_sum(form.c, terms) for terms in _D_OF_1FORM))
     if isinstance(form, TrigPolyForm2):
-        slot = {ab: fn for ab, fn in zip(BIVECTOR_SLOTS, form.c)}
-        out = []
-        for a, b, c in TRIVECTOR_SLOTS:
-            out.append(
-                slot[(b, c)].derivative(a - 1)
-                - slot[(a, c)].derivative(b - 1)
-                + slot[(a, b)].derivative(c - 1)
-            )
-        return TrigPolyForm3(tuple(out))
+        return TrigPolyForm3(tuple(_partials_sum(form.c, terms) for terms in _D_OF_2FORM))
     raise TypeError(f"no exterior derivative for {type(form).__name__}")
 
 
@@ -407,6 +441,12 @@ def _frequency_lattice(freqs):
     return u, r
 
 
+def physical_memory():
+    """The machine's physical memory in bytes, the bound of every run whose
+    size is known before it starts."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def _walk_points(grid, freqs):
     """The points :func:`fiber_blocks` walks for integer frequencies ``freqs``.
 
@@ -425,7 +465,7 @@ def _walk_points(grid, freqs):
     # the (grid^r, 4) float points; below rank 4 also the (r, grid^r) indices
     # and the two (grid^r, 4) integer arrays that index the axis
     need = grid ** r * (32 if r == 4 else 8 * r + 96)
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    have = physical_memory()
     if need > have:
         raise WalkTooLarge(f"a walk of {grid}^{r} grid points needs {need} bytes, "
                            f"more than the {have} bytes of physical memory")
@@ -493,23 +533,38 @@ def i_basis(omega: Form2, tol: float = 0.0):
     return (inverse @ _UNIT_BIVECTORS).reshape(6, 16)
 
 
-def closed_i_square_resid(i_entries, w_ff, w_fo, w_oo):
-    """max |I^2 + Id| from I's 16 row-major entries, with no I @ I.
+def i_square_terms(i_entries, w_ff, w_fo, w_oo):
+    """The 16 row-major entries of I^2 + Id from I's entries, with no I @ I.
 
     In dimension 4, Cayley-Hamilton for the Pfaffian pencil pf(F - t omega)
     gives I^2 = 2c I - r Id with c = (F^omega)/(omega^omega) and
     r = (F^F)/(omega^omega), so I^2 + Id = 2c I + (1 - r) Id with the
     wedges ``w_ff`` = F^F, ``w_fo`` = F^omega and ``w_oo`` = omega^omega.
     Plain arithmetic like :func:`wedge`: the exact entries of compose_i at
-    one fiber give an exact value; the (16, n) rows ``basis.T @ f_rows`` of
-    a grid block are scaled in place.  A NaN anywhere gives NaN.
+    one fiber give exact values, and entries that are arrays with one value
+    per fiber give each fiber's values with the same bits; the (16, n) rows
+    ``basis.T @ f_rows`` of a grid block are scaled in place.
     """
     two_c, diag = exact_div(2 * w_fo, w_oo), 1 - exact_div(w_ff, w_oo)
-    if not isinstance(i_entries, np.ndarray):
-        return max_abs(two_c * e + (diag if k % 5 == 0 else 0) for k, e in enumerate(i_entries))
-    i_entries *= two_c
-    i_entries[::5] += diag  # the diagonal rows 0, 5, 10, 15
-    return float(np.abs(i_entries, out=i_entries).max())
+    if isinstance(i_entries, np.ndarray):
+        i_entries *= two_c
+        i_entries[::5] += diag  # the diagonal rows 0, 5, 10, 15
+        return i_entries
+    return [two_c * e + (diag if k % 5 == 0 else 0) for k, e in enumerate(i_entries)]
+
+
+def i_square_peak(terms):
+    """max |I^2 + Id| over the :func:`i_square_terms` of one fiber (of their
+    own type) or of a grid block (a float, taken in place); a NaN anywhere
+    gives NaN."""
+    if isinstance(terms, np.ndarray):
+        return float(np.abs(terms, out=terms).max())
+    return max_abs(terms)
+
+
+def closed_i_square_resid(i_entries, w_ff, w_fo, w_oo):
+    """max |I^2 + Id| = |2c I + (1 - r) Id| (see :func:`i_square_terms`)."""
+    return i_square_peak(i_square_terms(i_entries, w_ff, w_fo, w_oo))
 
 
 def _require_pointwise_brane(basis, f_rows, omega_rows, tol):

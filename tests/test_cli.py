@@ -6,9 +6,11 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from importlib import resources
 from pathlib import Path
@@ -395,6 +397,39 @@ class TestConsoleEntry:
         assert proc.returncode == 2
         assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:")
         assert proc.stdout == ""
+
+
+class TestSweepBound:
+    @pytest.mark.parametrize("option", [["quadric", "--samples"], ["metric", "--sweep"]])
+    def test_a_sweep_beyond_physical_memory_is_refused_at_once(
+        self, tmp_path, omega_file, f0_file, option
+    ):
+        out = tmp_path / "never.out"
+        argv = [option[0], omega_file, f0_file, option[1], str(10 ** 15), "--out", str(out)]
+
+        def limit():  # a run that does start drawing fails here, not the machine
+            resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
+        start = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "branekit.cli"] + argv, capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=SRC), preexec_fn=limit, timeout=300,
+        )
+        assert proc.returncode == 2, proc.stderr[-2000:]
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:")
+        assert "more than the" in proc.stderr and "bytes of physical memory" in proc.stderr
+        assert time.monotonic() - start < 60
+        assert not out.exists()
+
+    def test_the_bound_is_checked_before_the_first_draw(self, omega_file, f0_file, capsys,
+                                                        monkeypatch):
+        monkeypatch.setattr(cli, "physical_memory", lambda: 100 * cli._NUMBER_BYTES * 16)
+        args = ["quadric", omega_file, f0_file, "--no-timestamp", "--samples"]
+        assert main(args + ["100"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["samples"]) == 100
+        monkeypatch.setattr(cli.np.random, "default_rng", None)  # a draw would fail
+        assert main(args + ["101"]) == 2
+        assert "101 samples need at least" in capsys.readouterr().err
 
 
 class TestParser:

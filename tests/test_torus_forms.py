@@ -90,6 +90,25 @@ class TestTrigPolyFn:
                 fd = (f.eval(xp) - f.eval(xm)) / (2 * h)
                 assert abs(df.eval(x) - fd) <= 1e-6
 
+    @pytest.mark.parametrize("zero", [0, 0.0, -0.0, Fraction(0)])
+    def test_a_scalar_zero_gives_the_zero_function(self, zero):
+        product = TrigPolyFn.mode((1, 0, 0, 0), cos=1, sin=2) * zero
+        assert product == TrigPolyFn.zero()
+        assert product.is_constant
+
+    def test_a_scalar_product_drops_only_the_modes_it_zeroes(self):
+        f = TrigPolyFn.mode((1, 0, 0, 0), cos=1e-300) + TrigPolyFn.mode((0, 1, 0, 0), sin=1)
+        assert (f * 1e-300).modes == (((0, 1, 0, 0), 0.0, 1e-300),)  # 1e-600 underflows
+        nan = TrigPolyFn.mode((1, 0, 0, 0), cos=1) * math.nan
+        assert len(nan.modes) == 1 and math.isnan(nan.modes[0][1])
+
+    def test_a_form_scaled_by_zero_is_checked_at_one_fiber(self):
+        from branekit.brane_check import verify_brane
+
+        report = verify_brane(W0, rotation_family((1, -1, 0, 1)) * 0, grid=8)
+        assert report.grid_used == 1  # constant: one exact fiber, not the grid
+        assert report.wedge_square_resid == 2 and not report.passed
+
     def test_exact_arithmetic_stays_rational(self):
         f = TrigPolyFn.mode((1, 0, 0, 0), cos=Fraction(1, 3))
         g = f * f
