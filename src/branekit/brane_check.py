@@ -23,7 +23,6 @@ from .errors import NotAlmostComplex, NotSkew
 from .exterior4 import (
     Form2,
     LinearMap4,
-    compose_i,
     exact_div,
     form2_of_matrix,
     half,
@@ -33,8 +32,8 @@ from .exterior4 import (
     max_abs,
     wedge,
 )
-from .torus_forms import (check_omega, constant_coeffs, exterior_d, fiber_blocks, i_basis,
-                          i_square_peak, i_square_terms)
+from .torus_forms import (check_omega, constant_coeffs, exterior_d, fiber_blocks, fiber_residuals,
+                          i_basis, i_square_peak)
 
 
 @dataclass(frozen=True)
@@ -107,27 +106,6 @@ def _hol_symp_report(blocks, closed, grid_used, tol) -> HolSympReport:
     closed_resid = max_abs(closed)
     passed = square_resid <= tol and closed_resid <= tol and positivity_min > tol
     return HolSympReport(positivity_min, square_resid, closed_resid, passed, grid_used, tol)
-
-
-def fiber_residuals(omega: Form2, basis, fc, oc, i_tol):
-    """F^F, F^omega, omega^omega and the 16 entries of I^2 + Id
-    (:func:`i_square_terms`) at the fibers of one block, before any
-    reduction.
-
-    ``fc`` and ``oc`` hold the six coefficients of F and of the constant
-    omega: exact or float scalars at one fiber, or rows with one entry per
-    fiber.  I's entries are ``basis.T @ fc`` on a grid block of
-    :func:`fiber_blocks` (``basis`` from i_basis) and those of compose_i
-    otherwise (``basis`` None), so (S,) arrays of S constant forms give each
-    form the bits of its own one-fiber residuals.  NonDegenerateRequired
-    when pf(omega)^2 <= i_tol.
-    """
-    w_ff, w_fo, w_oo = wedge(fc, fc), wedge(fc, oc), wedge(oc, oc)
-    if basis is None:
-        entries = [e for row in compose_i(omega, Form2.from_coeffs(fc), i_tol).m for e in row]
-    else:
-        entries = basis.T @ fc
-    return w_ff, w_fo, w_oo, i_square_terms(entries, w_ff, w_fo, w_oo)
 
 
 def _i_tol(omega, tol):

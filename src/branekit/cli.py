@@ -298,6 +298,8 @@ def _metric_chart(args):
 
 
 def cmd_metric(args):
+    if args.sweep and (args.theta is not None or args.ybar is not None):
+        raise SchemaError("--sweep draws its own points; --theta and --ybar set a single point")
     chart = _metric_chart(args)
     k = len(chart.neg)
     header = (
@@ -315,7 +317,7 @@ def cmd_metric(args):
         ybar = args.ybar if args.ybar is not None else (0.0,) * k
         if len(ybar) != k:
             raise SchemaError(f"--ybar needs {k} comma-separated values")
-        params = [(args.theta, ybar)]
+        params = [(0.0 if args.theta is None else args.theta, ybar)]
 
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -516,7 +518,7 @@ def _build_parser():
     p.add_argument("omega_file")
     p.add_argument("base_file")
     p.add_argument("--space", choices=("t4", "k3"), default="t4")
-    p.add_argument("--theta", type=_FINITE, default=0.0)
+    p.add_argument("--theta", type=_FINITE, default=None, help="circle coordinate, 0 by default")
     p.add_argument("--ybar", type=_POINT, default=None,
                    help="comma-separated chart coordinates, all finite")
     p.add_argument("--sweep", type=_COUNT, default=0, help="number of random samples")

@@ -63,14 +63,14 @@ class QuadricSpec:
         return self.omega.pair(self.omega)
 
 
-def quadric_contains(q: QuadricSpec, c: CohClass, tol: float = 1e-9) -> bool:
-    """Membership test: c.omega = 0 and c.c = omega.omega, within tol."""
+def quadric_contains(q: QuadricSpec, c: CohClass, tol: float = 1e-9):
+    """Membership test: c.omega = 0 and c.c = omega.omega, within tol; on a
+    class of (S,) coefficient columns, the (S,) bool array of the per-class
+    verdicts.  A NaN pairing fails, silently as in Python floats."""
     if c.space != q.space:
         raise SpaceMismatch("class lives in a different space")
-    return (
-        abs(c.pair(q.omega)) <= tol
-        and abs(c.pair(c) - q.omega_sq) <= tol
-    )
+    with np.errstate(invalid="ignore", over="ignore"):
+        return (abs(c.pair(q.omega)) <= tol) & (abs(c.pair(c) - q.omega_sq) <= tol)
 
 
 @dataclass(frozen=True)
@@ -227,16 +227,45 @@ def build_chart(q: QuadricSpec, base: CohClass, tol: float = 1e-9) -> QuadricCha
     return QuadricChart(q, base, b, tuple(neg), s)
 
 
+def _float_params(chart: QuadricChart, params):
+    """(thetas, ybars): every (theta, ybar) of ``params`` read as floats;
+    ValueError when a ybar has not one entry per negative direction."""
+    k = len(chart.neg)
+    thetas, ybars = [], []
+    for theta, ybar in params:
+        ybar = tuple(float(y) for y in ybar)
+        if len(ybar) != k:
+            raise ValueError(f"ybar must have length {k}")
+        thetas.append(float(theta))
+        ybars.append(ybar)
+    return thetas, ybars
+
+
+def _chart_classes(chart: QuadricChart, thetas, ybars) -> np.ndarray:
+    """The chart points of float samples as an (S, dim) array, row s the
+    coefficients of sample s: its stretch sqrt(1 + |ybar|^2) and cos, sin
+    of theta in Python floats, then the sums over the float chart vectors
+    in the order base, b, neg.  An overflowing y^2 raises OverflowError."""
+    base_a, b_a, neg_a = chart.vectors[0], chart.vectors[1], chart.vectors[2:]
+    # y ** 2 (pow) and metric_sweep's y * y can differ in the last bit: each keeps its bits
+    stretch = [math.sqrt(1.0 + sum(y ** 2 for y in ybar)) for ybar in ybars]
+    cos_part = np.array([r * math.cos(t) for r, t in zip(stretch, thetas)])[:, None]
+    sin_part = np.array([r * math.sin(t) for r, t in zip(stretch, thetas)])[:, None]
+    # an infinite stretch gives NaN classes, silently as in Python floats
+    with np.errstate(invalid="ignore", over="ignore"):
+        coords = cos_part * base_a + sin_part * b_a
+        y = np.array(ybars).reshape(len(thetas), len(neg_a))
+        for j, n in enumerate(neg_a):
+            coords = coords + y[:, j, None] * n
+    return coords
+
+
 def chart_point(chart: QuadricChart, theta: float, ybar) -> CohClass:
-    """Evaluate the cylinder chart; the result always lies on the quadric."""
-    ybar = tuple(ybar)
-    if len(ybar) != len(chart.neg):
-        raise ValueError(f"ybar must have length {len(chart.neg)}")
-    stretch = math.sqrt(1.0 + sum(float(y) ** 2 for y in ybar))
-    out = (stretch * math.cos(theta)) * chart.base + (stretch * math.sin(theta)) * chart.b
-    for y, n in zip(ybar, chart.neg):
-        out = out + y * n
-    return out
+    """Evaluate the cylinder chart, with (theta, ybar) read as floats: the
+    one-sample case of the classes of ``quadric_sweep``.  The result lies
+    on the quadric."""
+    coords = _chart_classes(chart, *_float_params(chart, [(theta, ybar)]))
+    return CohClass(chart.spec.space, tuple(coords[0].tolist()))
 
 
 @dataclass(frozen=True)
@@ -275,22 +304,16 @@ def metric_sweep(chart: QuadricChart, params) -> list:
 
     Every entry comes from the same floating-point operations as in a pass
     over that sample alone, so a sample does not depend on the others.
-    Every sample is checked before any array work: ValueError when ybar has
-    the wrong length, NonFiniteMatrix when 1 + |ybar|^2 overflows.  A sweep
-    whose product overflows raises NonFiniteMatrix too.
+    Every sample is checked before any array work: first every ybar's
+    length (ValueError), then 1 + |ybar|^2 (NonFiniteMatrix when it
+    overflows).  A sweep whose product overflows raises NonFiniteMatrix too.
     """
     k = len(chart.neg)
-    thetas, ybars, ms = [], [], []
-    for theta, ybar in params:
-        ybar = tuple(float(y) for y in ybar)
-        if len(ybar) != k:
-            raise ValueError(f"ybar must have length {k}")
-        m = 1.0 + sum(y * y for y in ybar)
+    thetas, ybars = _float_params(chart, params)
+    ms = [1.0 + sum(y * y for y in ybar) for ybar in ybars]
+    for m in ms:
         if not math.isfinite(m):
             raise NonFiniteMatrix(f"metric is not finite: 1 + |ybar|^2 = {m}")
-        thetas.append(float(theta))
-        ybars.append(ybar)
-        ms.append(m)
     if not thetas:
         return []
     roots = [math.sqrt(m) for m in ms]
@@ -355,41 +378,21 @@ def quadric_sweep(chart: QuadricChart, params, tol: float = 1e-9) -> list:
     a list of QuadricSample in the order of ``params``.
 
     Every value comes from the same floating-point operations as for that
-    sample alone, with ybar taken as floats: the stretch and cos, sin of
-    theta per sample as in ``chart_point``, its sums over the float chart
-    vectors, membership by ``CohClass.pair`` and the verdict by
-    ``constant_branes_pass`` on the stacked forms of
-    ``constant_form_of_class``.  ValueError when a ybar has the wrong
+    sample alone: its class from the rows of the chart classes, as
+    ``chart_point`` gives it, membership by ``quadric_contains`` on the
+    stacked class and the verdict by ``constant_branes_pass`` on the
+    stacked forms of ``constant_form_of_class``.  Every ybar is checked
+    before any sample is evaluated: ValueError when one has the wrong
     length; NotInQuadric when a sample misses the quadric.
     """
-    k = len(chart.neg)
-    thetas, ybars, cos_part, sin_part = [], [], [], []
-    for theta, ybar in params:
-        ybar = tuple(float(y) for y in ybar)
-        if len(ybar) != k:
-            raise ValueError(f"ybar must have length {k}")
-        stretch = math.sqrt(1.0 + sum(y ** 2 for y in ybar))
-        thetas.append(float(theta))
-        ybars.append(ybar)
-        cos_part.append(stretch * math.cos(theta))
-        sin_part.append(stretch * math.sin(theta))
+    thetas, ybars = _float_params(chart, params)
     if not thetas:
         return []
-    base_a, b_a, neg_a = chart.vectors[0], chart.vectors[1], chart.vectors[2:]
     q = chart.spec
-
-    def off(x):  # |x| > tol or NaN; an exact omega may leave object arrays
-        return ~(np.abs(np.asarray(x, dtype=float)) <= tol)
-
-    # an infinite stretch gives NaN classes, silently as in Python floats
-    with np.errstate(invalid="ignore", over="ignore"):
-        coords = np.array(cos_part)[:, None] * base_a + np.array(sin_part)[:, None] * b_a
-        y = np.array(ybars).reshape(len(thetas), k)
-        for j in range(k):
-            coords = coords + y[:, j, None] * neg_a[j]
-        stack = CohClass(q.space, tuple(coords.T))  # one (S,) column per coefficient
-        if (off(stack.pair(q.omega)) | off(stack.pair(stack) - q.omega_sq)).any():
-            raise NotInQuadric("class fails the quadric conditions")
+    coords = _chart_classes(chart, thetas, ybars)
+    stack = CohClass(q.space, tuple(coords.T))  # one (S,) column per coefficient
+    if not quadric_contains(q, stack, tol).all():
+        raise NotInQuadric("class fails the quadric conditions")
     forms = constant_form_of_class(stack)
     passed = constant_branes_pass(constant_form_of_class(q.omega), forms.coeffs, tol)
     return [

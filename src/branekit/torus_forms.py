@@ -26,8 +26,9 @@ see :func:`i_basis`) runs on the grid as two constant tables in F, built
 once per call from ``i_basis``, with no per-point I-field:
 
 * I^2 + Id in closed form, 2c I + (1 - r) Id from I's entries and the
-  block's wedges (:func:`i_square_terms`); the same formula gives
-  the exact value at one fiber from the entries of ``compose_i``;
+  block's wedges (:func:`i_square_terms`), both taken by
+  :func:`fiber_residuals`; the same formula gives the exact value at one
+  fiber from the entries of ``compose_i``;
 * the Nijenhuis tensor, bilinear in F and its partials, as one (144, 24)
   table derived from the one Nijenhuis formula (:func:`_nijenhuis_table`).
 
@@ -55,6 +56,7 @@ from .errors import NonDegenerateRequired, NotPointwiseBrane, WalkTooLarge
 from .exterior4 import (
     BIVECTOR_SLOTS,
     Form2,
+    compose_i,
     exact_div,
     half,
     inverse_times,
@@ -161,10 +163,9 @@ class TrigPolyFn:
     __rmul__ = __mul__
 
     def derivative(self, i):
-        """Partial derivative along coordinate i (0-based)."""
-        return TrigPolyFn(
-            _canonical_modes([(k, b * k[i], -a * k[i]) for k, a, b in self.modes])
-        )
+        """Partial derivative along coordinate i (0-based), the one-term
+        case of :func:`_partials_sum`."""
+        return _partials_sum((self,), ((0, i, 1),))
 
     def eval(self, x):
         total = 0.0
@@ -562,17 +563,31 @@ def i_square_peak(terms):
     return max_abs(terms)
 
 
-def closed_i_square_resid(i_entries, w_ff, w_fo, w_oo):
-    """max |I^2 + Id| = |2c I + (1 - r) Id| (see :func:`i_square_terms`)."""
-    return i_square_peak(i_square_terms(i_entries, w_ff, w_fo, w_oo))
+def fiber_residuals(omega: Form2, basis, fc, oc, i_tol):
+    """F^F, F^omega, omega^omega and the 16 entries of I^2 + Id
+    (:func:`i_square_terms`) at the fibers of one block, before any
+    reduction.
+
+    ``fc`` and ``oc`` hold the six coefficients of F and of the constant
+    omega: exact or float scalars at one fiber, or rows with one entry per
+    fiber.  I's entries are ``basis.T @ fc`` on a grid block of
+    :func:`fiber_blocks` (``basis`` from i_basis) and those of compose_i
+    otherwise (``basis`` None), so (S,) arrays of S constant forms give each
+    form the bits of its own one-fiber residuals.  NonDegenerateRequired
+    when pf(omega)^2 <= i_tol.
+    """
+    w_ff, w_fo, w_oo = wedge(fc, fc), wedge(fc, oc), wedge(oc, oc)
+    if basis is None:
+        entries = [e for row in compose_i(omega, Form2.from_coeffs(fc), i_tol).m for e in row]
+    else:
+        entries = basis.T @ fc
+    return w_ff, w_fo, w_oo, i_square_terms(entries, w_ff, w_fo, w_oo)
 
 
-def _require_pointwise_brane(basis, f_rows, omega_rows, tol):
+def _require_pointwise_brane(omega, basis, f_rows, tol):
     """Raise NotPointwiseBrane unless I^2 + Id is at most tol on the block."""
-    resid = closed_i_square_resid(
-        basis.T @ f_rows, wedge(f_rows, f_rows), wedge(f_rows, omega_rows),
-        wedge(omega_rows, omega_rows),
-    )
+    omega_rows = [float(v) for v in omega.coeffs]
+    resid = i_square_peak(fiber_residuals(omega, basis, f_rows, omega_rows, tol)[3])
     if not resid <= tol:
         raise NotPointwiseBrane(f"I^2 + Id has max entry {resid:.3e} > {tol:.1e}")
 
@@ -618,8 +633,8 @@ def nijenhuis_defect(omega: Form2, f, grid: int = 8, tol: float = 1e-9):
     and the symbolic partials d_m F, so per block it is one product of the
     constant table of :func:`_nijenhuis_table` (built once per call) with
     the 144 products F_p (d_m F)_q, and no finite-difference step or
-    per-point I-field is involved.  Every block first passes the closed
-    form of :func:`closed_i_square_resid` (NotPointwiseBrane otherwise).
+    per-point I-field is involved.  Every block first passes the I^2 + Id
+    check of :func:`fiber_residuals` (NotPointwiseBrane otherwise).
     max |dF| evaluates the exact exterior derivative pointwise on the same
     grid.  Both vanish together: the structure is integrable exactly when
     F is closed.  The grid is walked by :func:`fiber_blocks`, so the work
@@ -630,14 +645,13 @@ def nijenhuis_defect(omega: Form2, f, grid: int = 8, tol: float = 1e-9):
     f = as_trig(f)
     basis = i_basis(omega)
     table_t = _nijenhuis_table(basis).T
-    omega_rows = [float(v) for v in omega.coeffs]
     partials = [TrigPolyForm2(tuple(fn.derivative(m) for fn in f.c)) for m in range(4)]
     defects, dfs = [], []
     for rows in fiber_blocks(grid, f, *partials, exterior_d(f)):
         # (slots, n) float rows; a constant (zero) partial is (6, 1) and broadcasts
         fc, *d_f, d_form = (np.asarray(r, dtype=float).reshape(len(r), -1) for r in rows)
         dfs.append(np.abs(d_form).max())
-        _require_pointwise_brane(basis, fc, omega_rows, tol)
+        _require_pointwise_brane(omega, basis, fc, tol)
         prod = np.empty((6, 4, 6, fc.shape[1]))  # F_p (d_m F)_q at [p, m, q]
         for m, d in enumerate(d_f):
             np.multiply(fc[:, None], d, out=prod[:, m])
@@ -665,7 +679,7 @@ def integrability_identity_residual(
     steps = np.concatenate([np.zeros((1, 4)), h * np.eye(4), -h * np.eye(4)])
     basis = i_basis(omega)
     coeff = f.eval_grid(np.asarray(x, dtype=float) + steps)
-    _require_pointwise_brane(basis, coeff[:1].T, [float(v) for v in omega.coeffs], tol)
+    _require_pointwise_brane(omega, basis, coeff[:1].T, tol)
     i_mats = (coeff @ basis).reshape(-1, 4, 4)
     d_i = (i_mats[1:5] - i_mats[5:]) / (2.0 * h)
     n_tensor = _nijenhuis_tensor(i_mats[:1], d_i[:, None])[0]

@@ -39,10 +39,11 @@ from branekit.torus_forms import (
     TrigPolyFn,
     TrigPolyForm1,
     TrigPolyForm2,
-    closed_i_square_resid,
     eval_at,
     exterior_d,
     i_basis,
+    i_square_peak,
+    i_square_terms,
     nijenhuis_defect,
     rotation_family,
     standard_brane,
@@ -445,9 +446,9 @@ def _assert_closed_form_matches_compose_i(omega, cols):
     square_resid(compose_i) of its columns, within 1e-12 of 1 + max |I|^2."""
     rows = np.array(cols, dtype=float).T
     o = [float(v) for v in omega.coeffs]
-    got = closed_i_square_resid(
+    got = i_square_peak(i_square_terms(
         i_basis(omega).T @ rows, wedge(rows, rows), wedge(rows, o), wedge(o, o)
-    )
+    ))
     maps = [compose_i(omega, Form2.from_coeffs(tuple(col))) for col in rows.T]
     want = max_abs(square_resid(i) for i in maps)
     scale = 1 + max(i.max_abs() for i in maps) ** 2

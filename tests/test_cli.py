@@ -198,6 +198,17 @@ class TestMetric:
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert all((int(r["sig_pos"]), int(r["sig_neg"])) == (1, 19) for r in rows)
 
+    @pytest.mark.parametrize("point", [["--theta", "1"], ["--ybar", "5,5,5"], ["--theta", "0"]])
+    def test_a_sweep_with_a_single_point_is_input_error(self, tmp_path, omega_file, f0_file,
+                                                         point, capsys):
+        # a sweep draws its own points, so a point given with it would be dropped
+        out = tmp_path / "never.csv"
+        argv = ["metric", omega_file, f0_file, "--sweep", "2", "--seed", "1", *point]
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "--sweep" in err[0]
+        assert not out.exists()
+
     def test_wrong_ybar_length_is_input_error(self, omega_file, f0_file):
         assert main(["metric", omega_file, f0_file, "--ybar", "1,2"]) == 2
 

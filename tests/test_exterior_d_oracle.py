@@ -4,7 +4,8 @@ slot once.
 ``pre_change_exterior_d`` and the ``derivative`` it calls are kept verbatim
 as the oracle: every mode of every slot of d must match in frequency, value,
 type and ``repr``, so signed zeros, last bits and int/Fraction/float types
-all count.
+all count.  ``TrigPolyFn.derivative``, now the one-term merge of d, is
+held to ``pre_change_derivative`` the same way.
 """
 
 from fractions import Fraction
@@ -60,11 +61,14 @@ def pre_change_exterior_d(form):
 # --- the comparison -----------------------------------------------------------
 
 
+def spelled_fn(fn):
+    """Every mode of a function as (k, type and repr of each value)."""
+    return [(k, type(a), repr(a), type(b), repr(b)) for k, a, b in fn.modes]
+
+
 def spelled(form):
-    """Every mode of every slot as (k, type and repr of each value)."""
-    return type(form), [
-        [(k, type(a), repr(a), type(b), repr(b)) for k, a, b in fn.modes] for fn in form.c
-    ]
+    """Every mode of every slot, as :func:`spelled_fn` gives it."""
+    return type(form), [spelled_fn(fn) for fn in form.c]
 
 
 #: coefficients of every scalar type, with signed zeros and extreme floats;
@@ -93,6 +97,8 @@ def test_d_matches_the_pre_change_d(form):
 @given(fns)
 def test_gradient_matches_the_pre_change_d(fn):
     assert spelled(exterior_d(fn)) == spelled(pre_change_exterior_d(fn))
+    for i in range(4):
+        assert spelled_fn(fn.derivative(i)) == spelled_fn(pre_change_derivative(fn, i))
 
 
 def test_a_cancelled_pair_does_not_pass_its_type_on():
@@ -112,3 +118,5 @@ def test_nan_modes_stay():
     fn = TrigPolyFn.mode((1, 0, 0, 0), cos=float("nan"))
     form = TrigPolyForm2.from_fns([fn, 0, 0, fn, 0, 0])
     assert spelled(exterior_d(form)) == spelled(pre_change_exterior_d(form))
+    for i in range(4):
+        assert spelled_fn(fn.derivative(i)) == spelled_fn(pre_change_derivative(fn, i))

@@ -16,7 +16,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from branekit.brane_check import BraneReport, HolSympReport, verify_brane
-from branekit.cohomology import class_of_constant_form, constant_form_of_class, torus_space
+from branekit.cohomology import (
+    CohClass,
+    class_of_constant_form,
+    constant_form_of_class,
+    torus_space,
+)
 from branekit.errors import NotInQuadric
 from branekit.exterior4 import (
     BIVECTOR_SLOTS,
@@ -32,6 +37,7 @@ from branekit.period_domain import (
     QuadricChart,
     QuadricSpec,
     build_chart,
+    chart_point,
     quadric_contains,
     quadric_sweep,
 )
@@ -375,3 +381,51 @@ class TestVerifyBraneReports:
         for grid in (3, 8):
             assert repr(verify_brane(standard_symplectic(), f, grid=grid)) == repr(
                 pre_change_verify_brane(standard_symplectic(), f, grid=grid))
+
+
+class TestOneSampleCases:
+    """``chart_point`` and the per-class ``quadric_contains`` are the
+    one-sample cases of the stacked pass."""
+
+    @staticmethod
+    def charts():
+        """The charts of the comparisons above, each with its tol: eight of
+        int classes, Fraction negative directions, a Fraction omega, floats."""
+        fraction_map = LinearMap4.from_rows([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 2, 1],
+                                             [0, 0, 1, 1]])
+        omega, f = pulled_back_pair(np.random.default_rng(7))
+        return [(chart_of(*pulled_back_pair(np.random.default_rng(s))), 1e-9) for s in range(8)] + [
+            (chart_of(pullback_form2(fraction_map, standard_symplectic()),
+                      pullback_form2(fraction_map, standard_brane())), 1e-9),
+            (chart_of(Fraction(1, 2) * omega, Fraction(1, 2) * f), 1e-9),
+        ] + [(chart_of(*float_pair(np.random.default_rng(100), s)), 1e-9 * max(1.0, s * s))
+             for s in FLOAT_SCALES]
+
+    @pytest.mark.parametrize("kind", ["float", "int", "fraction"])
+    def test_chart_point_is_the_sweep_class(self, kind):
+        rng = np.random.default_rng(11)
+        draw = {
+            "float": lambda: float(rng.normal()),
+            "int": lambda: int(rng.integers(-3, 4)),
+            "fraction": lambda: Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 5))),
+        }[kind]
+        for chart, tol in self.charts():
+            for _ in range(200):
+                theta = float(rng.uniform(0.0, 2.0 * math.pi))
+                ybar = tuple(draw() for _ in range(3))
+                want = quadric_sweep(chart, [(theta, ybar)], tol)[0].cls
+                assert repr(chart_point(chart, theta, ybar)) == repr(want)
+
+    def test_quadric_contains_on_a_stacked_class(self):
+        rng = np.random.default_rng(12)
+        for chart, tol in self.charts()[7:10]:  # int, Fraction-chart and Fraction omega
+            q = chart.spec
+            classes = [chart_point(chart, t, y) for t, y in draws(rng, 6)]
+            classes += [c + 1e-6 * chart.b for c in classes[:2]]  # off the quadric
+            classes.append(CohClass(q.space, (math.nan,) + classes[0].coeffs[1:]))
+            stack = CohClass(q.space, tuple(np.array([c.coeffs for c in classes]).T))
+            if any(isinstance(v, Fraction) for v in q.omega.coeffs):
+                assert stack.pair(q.omega).dtype == object
+            got = quadric_contains(q, stack, tol)
+            assert got.tolist() == [quadric_contains(q, c, tol) for c in classes]
+            assert got.tolist() == [True] * 6 + [False] * 3
