@@ -23,6 +23,7 @@ from .errors import NotAlmostComplex, NotSkew
 from .exterior4 import (
     Form2,
     LinearMap4,
+    check_omega,
     exact_div,
     form2_of_matrix,
     half,
@@ -32,8 +33,8 @@ from .exterior4 import (
     max_abs,
     wedge,
 )
-from .torus_forms import (check_omega, constant_coeffs, exterior_d, fiber_blocks, fiber_residuals,
-                          i_basis, i_square_peak)
+from .torus_forms import (check_i_square, constant_coeffs, exterior_d, fiber_blocks,
+                          fiber_residuals, i_basis, i_square_peak)
 
 
 @dataclass(frozen=True)
@@ -108,13 +109,6 @@ def _hol_symp_report(blocks, closed, grid_used, tol) -> HolSympReport:
     return HolSympReport(positivity_min, square_resid, closed_resid, passed, grid_used, tol)
 
 
-def _i_tol(omega, tol):
-    """The pf(omega)^2 tolerance of the brane check, once omega passes
-    check_omega."""
-    check_omega(omega, tol)
-    return min(tol, 1e-12)
-
-
 def _brane_passed(r_sq, r_orth, r_closed, r_i, orientation_ok, tol):
     """Every residual at most tol and F^F positive; elementwise over arrays
     of residuals.  A NaN residual fails."""
@@ -129,13 +123,13 @@ def verify_brane(omega: Form2, f, grid: int = 8, tol: float = 1e-9) -> BraneRepo
     fiber; non-constant ones on a uniform grid with ``grid`` points per
     axis (see :func:`fiber_blocks`).  The one walk also gives the
     holomorphic-symplectic report of f + i*omega (``hol_symp``), equal to
-    ``verify_holomorphic_symplectic(f, omega, grid, tol)``.
+    ``verify_holomorphic_symplectic(f, omega, grid, tol)``.  omega must
+    pass ``check_omega`` at tol (NonDegenerateRequired otherwise).
     """
-    i_tol = _i_tol(omega, tol)
-    basis = None if constant_coeffs(f) is not None else i_basis(omega, i_tol)
+    basis = None if constant_coeffs(f) is not None else i_basis(omega, tol)
     hs, orth, i_sq, low = [], [], [], []
     for fc, oc in fiber_blocks(grid, f, omega):
-        w_ff, w_fo, w_oo, i_terms = fiber_residuals(omega, basis, fc, oc, i_tol)
+        w_ff, w_fo, w_oo, i_terms = fiber_residuals(omega, basis, fc, oc, tol)
         hs.append(_hol_symp_block(w_ff, w_oo, w_fo))
         orth.append(_peak(w_fo))
         i_sq.append(i_square_peak(i_terms))
@@ -161,10 +155,10 @@ def constant_branes_pass(omega: Form2, fc, tol: float = 1e-9):
     form; entry s of the (S,) bool result is form s's verdict, from the
     :func:`fiber_residuals` of its one-fiber check (a constant form is
     closed).  Only the reductions are per entry: the I^2 + Id peak is the
-    max over the 16 entries of each form.
+    max over the 16 entries of each form.  omega must pass ``check_omega``
+    at tol (NonDegenerateRequired otherwise).
     """
-    i_tol = _i_tol(omega, tol)
-    w_ff, w_fo, w_oo, i_terms = fiber_residuals(omega, None, fc, omega.coeffs, i_tol)
+    w_ff, w_fo, w_oo, i_terms = fiber_residuals(omega, None, fc, omega.coeffs, tol)
 
     def per_form(x):  # an exact omega may leave object arrays of floats
         return np.asarray(x, dtype=float)
@@ -247,7 +241,9 @@ def linearized_deformation_check(
 ) -> bool:
     """True iff alpha is closed and of pure type (1,1) for I = omega^{-1} o F.
 
-    Needs I^2 = -Id (else NotAlmostComplex, beyond max(tol, 1e-9)): then
+    omega must pass ``check_omega`` at tol (NonDegenerateRequired), before
+    any verdict, also that of an alpha that is not closed.  Needs I^2 = -Id
+    (``check_i_square``, else NotPointwiseBrane, a NotAlmostComplex): then
     F + i*omega is of type (2,0), so the (2,0)+(0,2) part of alpha is
 
         ((alpha^F) F + (alpha^omega) omega) / (omega^omega),
@@ -256,16 +252,14 @@ def linearized_deformation_check(
     Its largest coefficient over the grid, computed block by block (exactly
     at one fiber when F and alpha are constant), is compared with tol.
     """
+    check_omega(omega, tol)
     if _closedness_resid(alpha) > tol:
         return False
-    # i_basis, or compose_i at one fiber, raises NonDegenerateRequired for a
-    # degenerate omega, whatever F is
-    basis = None if constant_coeffs(f) is not None else i_basis(omega, 1e-12)
+    basis = None if constant_coeffs(f) is not None else i_basis(omega, tol)
     peaks = []
     for fc, ac, oc in fiber_blocks(grid, f, alpha, omega):
-        _, _, vol, i_terms = fiber_residuals(omega, basis, fc, oc, 1e-12)
-        if not i_square_peak(i_terms) <= max(tol, 1e-9):
-            raise NotAlmostComplex("type projection needs I*I = -Id")
+        _, _, vol, i_terms = fiber_residuals(omega, basis, fc, oc, tol)
+        check_i_square(i_terms, tol)
         w_f, w_o = wedge(ac, fc), wedge(ac, oc)
         peaks += [_peak(exact_div(w_f * x + w_o * y, vol)) for x, y in zip(fc, oc)]
     return bool(max_abs(peaks) <= tol)  # a NaN never passes

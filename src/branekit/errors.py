@@ -17,7 +17,7 @@ class DegenerateForm(BranekitError):
     """A complex 2-form violates the non-degeneracy/holomorphicity conditions."""
 
 
-class NotPointwiseBrane(BranekitError):
+class NotPointwiseBrane(NotAlmostComplex):
     """The candidate complex structure fails I^2 = -Id at some grid point."""
 
 

@@ -12,7 +12,9 @@ Conventions, fixed once and relied on by every downstream module:
   omega(I u, .) = f(u, .), i.e. I = omega^{-1} o f under the convention
   above;
 * B_omega^{-1} is the closed form -B_{*omega} / pf(omega) of
-  :func:`inverse_times`, the only inverse of omega in the package.
+  :func:`inverse_times`, the only inverse of omega in the package, and
+  :func:`check_omega`, which it runs first, is the one rule for when omega
+  is non-degenerate.
 
 All formulas are plain arithmetic on the stored scalars, so every
 operation works identically over floats and over exact ``int`` /
@@ -218,6 +220,21 @@ def interior(v, s: Form2) -> Form1:
     return Form1(tuple(sum(v[a] * b[a][j] for a in range(4)) for j in range(4)))
 
 
+def check_omega(omega: Form2, tol):
+    """Raise NonDegenerateRequired unless |pf(omega)| / m / m > tol, with m
+    the largest |coefficient| of omega: the one non-degeneracy rule of the
+    package, unchanged when omega is rescaled.  m = 0 and NaN are
+    degenerate.  Computed in floats, so an exact pf beyond the float range
+    raises OverflowError.  Returns pf(omega), of omega's own scalar type.
+    """
+    pf, m = pfaffian(omega), float(omega.max_abs())
+    ratio = abs(float(pf)) / m / m if m else 0.0
+    if not ratio > tol:
+        raise NonDegenerateRequired(
+            f"omega is degenerate: |pf| / max|coefficient|^2 is {ratio:.3e}, not above {tol:.1e}")
+    return pf
+
+
 def inverse_times(omega: Form2, b, tol: float = 1e-12):
     """B_omega^{-1} b for a 4x4 matrix b (rows), by the closed form
 
@@ -225,12 +242,10 @@ def inverse_times(omega: Form2, b, tol: float = 1e-12):
         *omega = (c34, -c24, c23, c14, -c13, c12),
 
     which holds because B_omega B_{*omega} = -pf(omega) Id for every 2-form.
-    Exact over exact inputs.  Raises NonDegenerateRequired when pf(omega)
-    is exactly zero or pf^2 <= tol.
+    Exact over exact inputs.  Omega must first pass :func:`check_omega` at
+    tol (else NonDegenerateRequired).
     """
-    pf = pfaffian(omega)
-    if (is_exact(pf) and pf == 0) or abs(pf * pf) <= tol:
-        raise NonDegenerateRequired("omega is degenerate (pfaffian^2 <= tol)")
+    pf = check_omega(omega, tol)
     c12, c13, c14, c23, c24, c34 = omega.coeffs
     star = matrix_of_form2(Form2(c34, -c24, c23, c14, -c13, c12))
     return tuple(
@@ -245,6 +260,7 @@ def inverse_times(omega: Form2, b, tol: float = 1e-12):
 def compose_i(omega: Form2, f: Form2, tol: float = 1e-12) -> LinearMap4:
     """The unique map I = B_omega^{-1} B_f with omega(I u, v) = f(u, v) for
     all u, v (see :func:`inverse_times`).  Exact over rational inputs.
+    NonDegenerateRequired when omega fails :func:`check_omega` at tol.
     """
     return LinearMap4.from_rows(inverse_times(omega, matrix_of_form2(f), tol))
 

@@ -52,7 +52,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import NonDegenerateRequired, NotPointwiseBrane, WalkTooLarge
+from .errors import NotPointwiseBrane, WalkTooLarge
 from .exterior4 import (
     BIVECTOR_SLOTS,
     Form2,
@@ -63,7 +63,6 @@ from .exterior4 import (
     is_exact,
     matrix_of_form2,
     max_abs,
-    pfaffian,
     wedge,
 )
 
@@ -347,12 +346,6 @@ def as_trig(f) -> TrigPolyForm2:
     return TrigPolyForm2.from_constant(f) if isinstance(f, Form2) else f
 
 
-def check_omega(omega: Form2, tol):
-    """Raise NonDegenerateRequired when |pfaffian(omega)| <= tol."""
-    if abs(float(pfaffian(omega))) <= tol:
-        raise NonDegenerateRequired("omega is degenerate")
-
-
 #: walked points per block of :func:`fiber_blocks`: the work arrays follow
 #: the block (at most about 6.2 MiB at 4096 points, most of it the 144
 #: products of :func:`nijenhuis_defect`), not the grid^r points walked
@@ -496,13 +489,14 @@ def fiber_blocks(grid: int, *forms):
     The frequency axis is walked in slices no longer than the rows, so the
     table never outgrows the rows it produces.  A constant form gives its
     float coefficients, which broadcast exactly as their grid values would.
+    ``grid`` must be at least 1, also when every form is constant.
     """
+    if grid < 1:
+        raise ValueError(f"grid must be at least 1, got {grid}")
     consts = [constant_coeffs(form) for form in forms]
     if all(c is not None for c in consts):
         yield tuple(consts)
         return
-    if grid < 1:
-        raise ValueError(f"grid must be at least 1, got {grid}")
     fns, slots = [], []
     for form, c in zip(forms, consts):
         if c is None:
@@ -521,14 +515,14 @@ def fiber_blocks(grid: int, *forms):
 _UNIT_BIVECTORS = np.array([matrix_of_form2(Form2.from_coeffs(row)) for row in np.eye(6)])
 
 
-def i_basis(omega: Form2, tol: float = 0.0):
+def i_basis(omega: Form2, tol: float = 1e-12):
     """omega^{-1} o e^{ab} for the six basis bivectors, as a (6, 16) array.
 
     I = omega^{-1} o F is linear in the six coefficients of F, so I at a
     point is the one contraction ``coeff @ basis`` of F's coefficients with
     this basis (row-major 4x4), and the same contraction of the coefficients
-    of d_m F gives d_m I exactly; raises NonDegenerateRequired when
-    pf^2 <= tol.
+    of d_m F gives d_m I exactly; raises NonDegenerateRequired when omega
+    fails ``check_omega`` at tol (the default is compose_i's).
     """
     inverse = np.array(inverse_times(omega, np.eye(4).tolist(), tol))
     return (inverse @ _UNIT_BIVECTORS).reshape(6, 16)
@@ -563,7 +557,7 @@ def i_square_peak(terms):
     return max_abs(terms)
 
 
-def fiber_residuals(omega: Form2, basis, fc, oc, i_tol):
+def fiber_residuals(omega: Form2, basis, fc, oc, tol):
     """F^F, F^omega, omega^omega and the 16 entries of I^2 + Id
     (:func:`i_square_terms`) at the fibers of one block, before any
     reduction.
@@ -574,22 +568,25 @@ def fiber_residuals(omega: Form2, basis, fc, oc, i_tol):
     :func:`fiber_blocks` (``basis`` from i_basis) and those of compose_i
     otherwise (``basis`` None), so (S,) arrays of S constant forms give each
     form the bits of its own one-fiber residuals.  NonDegenerateRequired
-    when pf(omega)^2 <= i_tol.
+    when compose_i is reached and omega fails ``check_omega`` at tol.
     """
     w_ff, w_fo, w_oo = wedge(fc, fc), wedge(fc, oc), wedge(oc, oc)
     if basis is None:
-        entries = [e for row in compose_i(omega, Form2.from_coeffs(fc), i_tol).m for e in row]
+        entries = [e for row in compose_i(omega, Form2.from_coeffs(fc), tol).m for e in row]
     else:
         entries = basis.T @ fc
     return w_ff, w_fo, w_oo, i_square_terms(entries, w_ff, w_fo, w_oo)
 
 
-def _require_pointwise_brane(omega, basis, f_rows, tol):
-    """Raise NotPointwiseBrane unless I^2 + Id is at most tol on the block."""
-    omega_rows = [float(v) for v in omega.coeffs]
-    resid = i_square_peak(fiber_residuals(omega, basis, f_rows, omega_rows, tol)[3])
-    if not resid <= tol:
-        raise NotPointwiseBrane(f"I^2 + Id has max entry {resid:.3e} > {tol:.1e}")
+def check_i_square(terms, tol):
+    """Raise NotPointwiseBrane unless the :func:`i_square_peak` of a block's
+    :func:`i_square_terms` is at most max(tol, 1e-9): the one I^2 = -Id
+    guard of the checks that need a complex structure.  The floor keeps
+    rounding in I from refusing a brane at tol 0.  A NaN fails.
+    """
+    peak, bound = i_square_peak(terms), max(tol, 1e-9)
+    if not peak <= bound:
+        raise NotPointwiseBrane(f"I^2 + Id has max entry {float(peak):.3e} > {bound:.1e}")
 
 
 def _nijenhuis_tensor(i_mats, d_i):
@@ -633,17 +630,18 @@ def nijenhuis_defect(omega: Form2, f, grid: int = 8, tol: float = 1e-9):
     and the symbolic partials d_m F, so per block it is one product of the
     constant table of :func:`_nijenhuis_table` (built once per call) with
     the 144 products F_p (d_m F)_q, and no finite-difference step or
-    per-point I-field is involved.  Every block first passes the I^2 + Id
-    check of :func:`fiber_residuals` (NotPointwiseBrane otherwise).
+    per-point I-field is involved.  omega must pass ``check_omega`` at tol
+    (NonDegenerateRequired, before any block), and every block first
+    passes :func:`check_i_square` (NotPointwiseBrane otherwise).
     max |dF| evaluates the exact exterior derivative pointwise on the same
     grid.  Both vanish together: the structure is integrable exactly when
     F is closed.  The grid is walked by :func:`fiber_blocks`, so the work
     arrays keep a fixed size whatever the grid (a constant F is checked at
     one fiber).
     """
-    check_omega(omega, tol)
     f = as_trig(f)
-    basis = i_basis(omega)
+    basis = i_basis(omega, tol)
+    omega_rows = [float(v) for v in omega.coeffs]
     table_t = _nijenhuis_table(basis).T
     partials = [TrigPolyForm2(tuple(fn.derivative(m) for fn in f.c)) for m in range(4)]
     defects, dfs = [], []
@@ -651,7 +649,7 @@ def nijenhuis_defect(omega: Form2, f, grid: int = 8, tol: float = 1e-9):
         # (slots, n) float rows; a constant (zero) partial is (6, 1) and broadcasts
         fc, *d_f, d_form = (np.asarray(r, dtype=float).reshape(len(r), -1) for r in rows)
         dfs.append(np.abs(d_form).max())
-        _require_pointwise_brane(omega, basis, fc, tol)
+        check_i_square(fiber_residuals(omega, basis, fc, omega_rows, tol)[3], tol)
         prod = np.empty((6, 4, 6, fc.shape[1]))  # F_p (d_m F)_q at [p, m, q]
         for m, d in enumerate(d_f):
             np.multiply(fc[:, None], d, out=prod[:, m])
@@ -671,15 +669,16 @@ def integrability_identity_residual(
     Compares omega((L_{I e_j} I - I L_{e_j} I)(e_i), e_k), with the Lie
     derivatives computed by central differences, against
     dF(I e_j, e_i, e_k) + dF(e_j, I e_i, e_k) with dF exact.  The two
-    sides agree up to the O(h^2) finite-difference error.
+    sides agree up to the O(h^2) finite-difference error.  Refuses omega
+    and I at x as :func:`nijenhuis_defect` does.
     """
-    check_omega(omega, tol)
     f = as_trig(f)
     # x, then x + h e_m and x - h e_m for m = 0..3
     steps = np.concatenate([np.zeros((1, 4)), h * np.eye(4), -h * np.eye(4)])
-    basis = i_basis(omega)
+    basis = i_basis(omega, tol)
     coeff = f.eval_grid(np.asarray(x, dtype=float) + steps)
-    _require_pointwise_brane(omega, basis, coeff[:1].T, tol)
+    omega_rows = [float(v) for v in omega.coeffs]
+    check_i_square(fiber_residuals(omega, basis, coeff[:1].T, omega_rows, tol)[3], tol)
     i_mats = (coeff @ basis).reshape(-1, 4, 4)
     d_i = (i_mats[1:5] - i_mats[5:]) / (2.0 * h)
     n_tensor = _nijenhuis_tensor(i_mats[:1], d_i[:, None])[0]

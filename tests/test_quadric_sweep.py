@@ -27,6 +27,7 @@ from branekit.exterior4 import (
     BIVECTOR_SLOTS,
     Form2,
     LinearMap4,
+    check_omega,
     compose_i,
     exact_div,
     max_abs,
@@ -42,7 +43,6 @@ from branekit.period_domain import (
     quadric_sweep,
 )
 from branekit.torus_forms import (
-    check_omega,
     constant_coeffs,
     exterior_d,
     fiber_blocks,

@@ -328,11 +328,12 @@ class TestFiberBlocks:
             start += len(block)
         assert start == len(pts)
 
-    def test_empty_grid_is_refused(self):
-        rot = rotation_family((1, 0, 0, 0))
-        with pytest.raises(ValueError):
-            list(fiber_blocks(0, rot, W0))
-        assert list(fiber_blocks(0, F0, W0)) == [(F0.coeffs, W0.coeffs)]
+    def test_grid_below_one_is_refused_before_the_constant_shortcut(self):
+        for grid in (0, -2):
+            for forms in ((rotation_family((1, 0, 0, 0)), W0), (F0, W0)):
+                with pytest.raises(ValueError):
+                    list(fiber_blocks(grid, *forms))
+        assert list(fiber_blocks(1, F0, W0)) == [(F0.coeffs, W0.coeffs)]
 
     @given(
         f_modes=st.lists(modes, min_size=6, max_size=6),
