@@ -15,6 +15,7 @@ residuals are maximised over a uniform grid while the exterior derivative
 is always exact.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,7 @@ from .exterior4 import (
     is_exact,
     matrix_of_form2,
     max_abs,
+    omega_unit,
     wedge,
 )
 from .torus_forms import (check_i_square, constant_coeffs, exterior_d, fiber_blocks,
@@ -53,8 +55,10 @@ class HolSympReport:
 class BraneReport:
     """Residuals of the three brane conditions plus the I^2 = -Id check.
 
-    ``passed`` is true exactly when every residual is at most ``tol`` and
-    F ^ F is positive (the orientation content of condition (1)).
+    ``passed`` is true exactly when every residual is at most ``tol`` in
+    the unit u = |pf(omega)| of :func:`omega_unit` (the wedge residuals at
+    most tol * u, closedness at most tol * sqrt(u), I^2 + Id at most tol)
+    and F ^ F is positive (the orientation content of condition (1)).
     ``hol_symp`` is the report of F + i*omega, read from the same samples
     and wedges.
     """
@@ -94,25 +98,36 @@ def _hol_symp_block(w_rr, w_ii, w_ri):
     """One block's share of the holomorphic-symplectic report of re + i*im,
     from its wedges re^re, im^im and re^im: the peaks of the real part
     re^re - im^im and of the imaginary part 2 re^im of (re+i im)^(re+i im),
-    and the least (re+i im)^(conjugate) = re^re + im^im."""
-    return _peak(w_rr - w_ii), _peak(2 * w_ri), _low(w_rr + w_ii)
+    the least (re+i im)^(conjugate) = re^re + im^im, and the peak of
+    im^im."""
+    return _peak(w_rr - w_ii), _peak(2 * w_ri), _low(w_rr + w_ii), _peak(w_ii)
 
 
 def _hol_symp_report(blocks, closed, grid_used, tol) -> HolSympReport:
-    """The report of the :func:`_hol_symp_block` triples of a walk and the
-    closedness residuals ``closed`` of re and im; positivity must exceed
-    tol everywhere."""
-    square_resid = max_abs(peak for block in blocks for peak in block[:2])
+    """The report of the :func:`_hol_symp_block` quadruples of a walk and
+    the closedness residuals ``closed`` of re and im.
+
+    The unit is u = peak |im^im| / 2, which is |pf(im)| for a constant im
+    (:func:`omega_unit`): the real part meets tol * u and the imaginary
+    part 2 re^im meets 2 tol * u, as F^F - omega^omega and F^omega do in
+    the brane check; closedness meets tol * sqrt(u), and positivity must
+    exceed tol * u everywhere.  A NaN fails."""
+    re_sq, im_sq = (max_abs(block[part] for block in blocks) for part in (0, 1))
+    square_resid = max_abs((re_sq, im_sq))
     positivity_min = _least(block[2] for block in blocks)
     closed_resid = max_abs(closed)
-    passed = square_resid <= tol and closed_resid <= tol and positivity_min > tol
+    u = float(max_abs(block[3] for block in blocks)) / 2
+    passed = (re_sq <= tol * u and im_sq <= 2 * tol * u and closed_resid <= tol * math.sqrt(u)
+              and positivity_min > tol * u)
     return HolSympReport(positivity_min, square_resid, closed_resid, passed, grid_used, tol)
 
 
-def _brane_passed(r_sq, r_orth, r_closed, r_i, orientation_ok, tol):
-    """Every residual at most tol and F^F positive; elementwise over arrays
-    of residuals.  A NaN residual fails."""
-    return (r_sq <= tol) & (r_orth <= tol) & (r_closed <= tol) & (r_i <= tol) & orientation_ok
+def _brane_passed(r_sq, r_orth, r_closed, r_i, orientation_ok, tol, u):
+    """The verdict of :class:`BraneReport` from its residuals and the unit
+    u of :func:`omega_unit`; elementwise over arrays of residuals.  A NaN
+    residual fails."""
+    return ((r_sq <= tol * u) & (r_orth <= tol * u) & (r_closed <= tol * math.sqrt(u))
+            & (r_i <= tol) & orientation_ok)
 
 
 def verify_brane(omega: Form2, f, grid: int = 8, tol: float = 1e-9) -> BraneReport:
@@ -124,7 +139,8 @@ def verify_brane(omega: Form2, f, grid: int = 8, tol: float = 1e-9) -> BraneRepo
     axis (see :func:`fiber_blocks`).  The one walk also gives the
     holomorphic-symplectic report of f + i*omega (``hol_symp``), equal to
     ``verify_holomorphic_symplectic(f, omega, grid, tol)``.  omega must
-    pass ``check_omega`` at tol (NonDegenerateRequired otherwise).
+    pass ``check_omega`` at tol (NonDegenerateRequired otherwise), and tol
+    is read in its unit :func:`omega_unit` (see :class:`BraneReport`).
     """
     basis = None if constant_coeffs(f) is not None else i_basis(omega, tol)
     hs, orth, i_sq, low = [], [], [], []
@@ -140,7 +156,7 @@ def verify_brane(omega: Form2, f, grid: int = 8, tol: float = 1e-9) -> BraneRepo
     sampled = isinstance(w_ff, np.ndarray)
     r_closed = float(closed) if sampled else closed  # grid: floats
     orientation_ok = bool(_least(low) > 0)
-    passed = _brane_passed(r_sq, r_orth, r_closed, r_i, orientation_ok, tol)
+    passed = _brane_passed(r_sq, r_orth, r_closed, r_i, orientation_ok, tol, omega_unit(omega))
     grid_used = grid ** 4 if sampled else 1
     hol_symp = _hol_symp_report(hs, [closed, _closedness_resid(omega)], grid_used, tol)
     return BraneReport(
@@ -165,7 +181,7 @@ def constant_branes_pass(omega: Form2, fc, tol: float = 1e-9):
 
     r_i = np.abs(per_form(i_terms)).max(axis=0)  # ndarray.max keeps a NaN
     return _brane_passed(np.abs(per_form(w_ff - w_oo)), np.abs(per_form(w_fo)), 0, r_i,
-                         per_form(w_ff) > 0, tol)
+                         per_form(w_ff) > 0, tol, omega_unit(omega))
 
 
 def verify_holomorphic_symplectic(
@@ -175,7 +191,9 @@ def verify_holomorphic_symplectic(
 
     The square residual is the max norm of (re+i im)^(re+i im), whose real
     part is re^re - im^im and imaginary part 2 re^im; positivity asks
-    (re+i im)^(conjugate) = re^re + im^im to exceed tol everywhere.  For
+    (re+i im)^(conjugate) = re^re + im^im to exceed tol everywhere.  tol is
+    read in the unit of im, |pf(im)| for a constant im and the walk's peak
+    of |im^im| / 2 otherwise (see :func:`_hol_symp_report`).  For
     re + i*omega with a constant omega, ``verify_brane(omega, re).hol_symp``
     gives the same report from the brane check's own walk.
     """
@@ -192,12 +210,13 @@ def equivalence_check(omega: Form2, f, grid: int = 8, tol: float = 1e-9) -> bool
     """True iff the brane check and the holomorphic-symplectic check of
     f + i*omega agree, both read from the one walk of :func:`verify_brane`.
 
-    The two formulations are equivalent, but their verdicts compare
-    different residuals with the same absolute tol, so near tol they can
-    disagree: F = F0 + 0.4e-9 omega0 passes the brane check at tol 1e-9
-    (|F^omega| = 0.8e-9), while its square residual 2|F^omega| = 1.6e-9
-    fails the holomorphic-symplectic one.  Away from tol they agree; this
-    is a runnable consistency probe.
+    The two formulations are equivalent, and their wedge tests ask the
+    same: F^F - omega^omega and F^omega meet tol * u in the brane check,
+    the real and imaginary parts of (F + i omega)^2 meet tol * u and
+    2 tol * u.  They can still disagree near tol where they ask different
+    things: the brane check also needs I^2 + Id at most tol, and F^F > 0
+    where the other needs F^F + omega^omega > tol * u.  Away from tol they
+    agree; this is a runnable consistency probe.
     """
     report = verify_brane(omega, f, grid=grid, tol=tol)
     return report.passed == report.hol_symp.passed

@@ -34,9 +34,7 @@ given.  Nothing is written on exit 2.
 """
 
 import argparse
-import csv
 import datetime
-import io
 import json
 import math
 import sys
@@ -53,7 +51,7 @@ from .cohomology import (
     torus_space,
 )
 from .errors import BranekitError, SchemaError, SweepTooLarge
-from .exterior4 import BIVECTOR_SLOTS, Form2
+from .exterior4 import BIVECTOR_SLOTS, Form2, omega_unit
 from .period_domain import (
     QuadricSpec,
     affine_normal_form,
@@ -319,27 +317,14 @@ def cmd_metric(args):
             raise SchemaError(f"--ybar needs {k} comma-separated values")
         params = [(0.0 if args.theta is None else args.theta, ybar)]
 
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    for (theta, ybar), sample in zip(params, metric_sweep(chart, params)):
-        writer.writerow(
-            [repr(theta)]
-            + [repr(y) for y in ybar]
-            + [
-                repr(sample.g_theta_theta),
-                repr(sample.g_theta_theta_sqrt_form),
-                repr(sample.g_theta_theta / sample.g_theta_theta_sqrt_form),
-            ]
-            + [repr(float(sample.g[1 + i, 1 + i])) for i in range(k)]
-            + [
-                repr(sample.off_diag_max),
-                repr(sample.gamma_resid),
-                sample.signature[0],
-                sample.signature[1],
-            ]
-        )
-    _emit(buf.getvalue(), args.out)
+    # csv.writer's bytes: every field is a float repr or an int, so none is quoted
+    lines = [",".join(header)]
+    for (theta, ybar), s in zip(params, metric_sweep(chart, params)):
+        ratio = s.g_theta_theta / s.g_theta_theta_sqrt_form
+        lines.append(",".join(map(repr, (
+            theta, *ybar, s.g_theta_theta, s.g_theta_theta_sqrt_form, ratio,
+            *np.diagonal(s.g)[1:].tolist(), s.off_diag_max, s.gamma_resid, *s.signature))))
+    _emit("\r\n".join(lines) + "\r\n", args.out)
     return 0
 
 
@@ -352,11 +337,13 @@ def cmd_nijenhuis(args):
         omega, form, _IDENTITY_POINT, h=identity_h, tol=args.tol
     )
     flat_tol = 1e-6
+    # the defect is free of scale and dF has degree 1 in (omega, F), so dF meets
+    # flat_tol * sqrt(u);
     # NaN <= flat_tol is false on both sides, so a NaN would read as consistent
     consistent = (
         math.isfinite(max_defect)
         and math.isfinite(max_df)
-        and (max_defect <= flat_tol) == (max_df <= flat_tol)
+        and (max_defect <= flat_tol) == (max_df <= flat_tol * math.sqrt(omega_unit(omega)))
     )
     report = {
         "inputs": {"omega": args.omega_file, "form": args.form_file},
@@ -493,7 +480,9 @@ def _build_parser():
 
     def common(p, needs_grid=True):
         p.add_argument(
-            "--tol", type=_TOL, default=1e-9, help="verification tolerance, a finite number >= 0"
+            "--tol", type=_TOL, default=1e-9,
+            help="verification tolerance, a finite number >= 0, in the unit u = |pf(omega)|: "
+                 "a residual of degree d in (omega, F) passes when it is at most tol * u^(d/2)",
         )
         if needs_grid:
             p.add_argument("--grid", type=_GRID, default=8, help="grid points per axis")

@@ -14,7 +14,10 @@ Conventions, fixed once and relied on by every downstream module:
 * B_omega^{-1} is the closed form -B_{*omega} / pf(omega) of
   :func:`inverse_times`, the only inverse of omega in the package, and
   :func:`check_omega`, which it runs first, is the one rule for when omega
-  is non-degenerate.
+  is non-degenerate;
+* :func:`omega_unit`, u = |pf(omega)|, is the one scale of every verdict:
+  a residual of degree d in (omega, F) passes when it is at most
+  tol * u**(d/2), so rescaling (omega, F) leaves every verdict alone.
 
 All formulas are plain arithmetic on the stored scalars, so every
 operation works identically over floats and over exact ``int`` /
@@ -222,10 +225,11 @@ def interior(v, s: Form2) -> Form1:
 
 def check_omega(omega: Form2, tol):
     """Raise NonDegenerateRequired unless |pf(omega)| / m / m > tol, with m
-    the largest |coefficient| of omega: the one non-degeneracy rule of the
-    package, unchanged when omega is rescaled.  m = 0 and NaN are
-    degenerate.  Computed in floats, so an exact pf beyond the float range
-    raises OverflowError.  Returns pf(omega), of omega's own scalar type.
+    the largest |coefficient| of omega (the ratio is :func:`omega_unit` / m^2):
+    the one non-degeneracy rule of the package, unchanged when omega is
+    rescaled.  m = 0 and NaN are degenerate.  Computed in floats, so an
+    exact pf beyond the float range raises OverflowError.  Returns
+    pf(omega), of omega's own scalar type.
     """
     pf, m = pfaffian(omega), float(omega.max_abs())
     ratio = abs(float(pf)) / m / m if m else 0.0
@@ -233,6 +237,16 @@ def check_omega(omega: Form2, tol):
         raise NonDegenerateRequired(
             f"omega is degenerate: |pf| / max|coefficient|^2 is {ratio:.3e}, not above {tol:.1e}")
     return pf
+
+
+def omega_unit(omega: Form2) -> float:
+    """u = |pf(omega)| as a float, the scale every verdict reads tol
+    against (omega ^ omega = 2 pf(omega) e^{1234}): a residual of degree d
+    in (omega, F) passes when it is at most tol * u**(d/2).  The wedges
+    F^F - omega^omega and F^omega have degree 2, dF degree 1, and I^2 + Id
+    and the Nijenhuis defect degree 0 (I is free of scale).
+    """
+    return abs(float(pfaffian(omega)))
 
 
 def inverse_times(omega: Form2, b, tol: float = 1e-12):

@@ -64,13 +64,18 @@ class QuadricSpec:
 
 
 def quadric_contains(q: QuadricSpec, c: CohClass, tol: float = 1e-9):
-    """Membership test: c.omega = 0 and c.c = omega.omega, within tol; on a
-    class of (S,) coefficient columns, the (S,) bool array of the per-class
-    verdicts.  A NaN pairing fails, silently as in Python floats."""
+    """Membership test: c.omega = 0 and c.c = omega.omega, within tol * u
+    for the unit u = |omega.omega| / 2 (|pf| of a torus class, as in
+    :func:`~branekit.exterior4.omega_unit`), so rescaling (omega, c) keeps
+    the verdict; on a class of (S,) coefficient columns, the (S,) bool
+    array of the per-class verdicts.  A NaN pairing fails, silently as in
+    Python floats."""
     if c.space != q.space:
         raise SpaceMismatch("class lives in a different space")
+    s = q.omega_sq
+    bound = tol * abs(float(s)) / 2
     with np.errstate(invalid="ignore", over="ignore"):
-        return (abs(c.pair(q.omega)) <= tol) & (abs(c.pair(c) - q.omega_sq) <= tol)
+        return (abs(c.pair(q.omega)) <= bound) & (abs(c.pair(c) - s) <= bound)
 
 
 @dataclass(frozen=True)
