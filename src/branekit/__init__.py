@@ -22,7 +22,6 @@ from .cohomology import (
     torus_space,
 )
 from .exterior4 import (
-    ComplexForm2,
     Form1,
     Form2,
     Form4,
@@ -30,7 +29,6 @@ from .exterior4 import (
     compose_i,
     interior,
     is_almost_complex,
-    kernel_of_complex_2form,
     type_projectors,
     wedge22,
 )

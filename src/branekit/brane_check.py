@@ -150,10 +150,11 @@ def verify_brane(omega: Form2, f, grid: int = 8, tol: float = 1e-9) -> BraneRepo
         orth.append(_peak(w_fo))
         i_sq.append(i_square_peak(i_terms))
         low.append(_low(w_ff))
+        del fc, w_ff, w_fo, i_terms  # freed before the next block is sampled
     # F^F - omega^omega is the real part of (F + i omega)^(F + i omega)
     r_sq, r_orth, r_i = max_abs(block[0] for block in hs), max_abs(orth), max_abs(i_sq)
     closed = _closedness_resid(f)
-    sampled = isinstance(w_ff, np.ndarray)
+    sampled = basis is not None
     r_closed = float(closed) if sampled else closed  # grid: floats
     orientation_ok = bool(_least(low) > 0)
     passed = _brane_passed(r_sq, r_orth, r_closed, r_i, orientation_ok, tol, omega_unit(omega))
@@ -281,4 +282,5 @@ def linearized_deformation_check(
         check_i_square(i_terms, tol)
         w_f, w_o = wedge(ac, fc), wedge(ac, oc)
         peaks += [_peak(exact_div(w_f * x + w_o * y, vol)) for x, y in zip(fc, oc)]
+        del fc, ac, i_terms, w_f, w_o  # freed before the next block is sampled
     return bool(max_abs(peaks) <= tol)  # a NaN never passes

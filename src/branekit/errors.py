@@ -13,10 +13,6 @@ class NotAlmostComplex(BranekitError):
     """A linear map fails to square to -Id within tolerance."""
 
 
-class DegenerateForm(BranekitError):
-    """A complex 2-form violates the non-degeneracy/holomorphicity conditions."""
-
-
 class NotPointwiseBrane(NotAlmostComplex):
     """The candidate complex structure fails I^2 = -Id at some grid point."""
 
@@ -62,7 +58,8 @@ class DegenerateQuadric(BranekitError):
 
 
 class WalkTooLarge(BranekitError):
-    """A grid walk would need more memory than the machine has."""
+    """A grid walk whose flat indices or residue sums would not fit int64;
+    a walk's memory follows its block, so nothing else refuses one."""
 
 
 class SweepTooLarge(BranekitError):

@@ -27,9 +27,7 @@ operation works identically over floats and over exact ``int`` /
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .errors import DegenerateForm, NonDegenerateRequired, NotAlmostComplex
+from .errors import NonDegenerateRequired, NotAlmostComplex
 
 #: bivector slot order used by Form2 (1-based index pairs a < b)
 BIVECTOR_SLOTS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
@@ -132,14 +130,6 @@ class Form4:
     """A 4-form, single coefficient on e^{1234}."""
 
     v: object = 0
-
-
-@dataclass(frozen=True)
-class ComplexForm2:
-    """A complex 2-form split into real and imaginary parts."""
-
-    re: Form2
-    im: Form2
 
 
 @dataclass(frozen=True)
@@ -312,33 +302,3 @@ def type_projectors(i: LinearMap4, beta: Form2, tol: float = 1e-9):
     p11 = h * (beta + invol)
     p2002 = h * (beta - invol)
     return p11, p2002
-
-
-def kernel_of_complex_2form(o: ComplexForm2, tol: float = 1e-9):
-    """Basis of the 2-dimensional complex kernel of a complex 2-form.
-
-    The form must be non-degenerate (re+i*im wedged with its conjugate
-    positive) and isotropic (square zero) within tol; the kernel cuts
-    out the antiholomorphic tangent bundle of the induced complex
-    structure.  Returns a (4, 2) complex array whose columns span the
-    kernel.
-    """
-    re, im = o.re, o.im
-    w_rr = wedge22(re, re).v
-    w_ii = wedge22(im, im).v
-    w_ri = wedge22(re, im).v
-    square = complex(w_rr - w_ii, 2 * w_ri)  # (re+i im) wedge itself
-    positivity = w_rr + w_ii  # (re+i im) wedge its conjugate
-    if abs(square) > tol:
-        raise DegenerateForm(f"form has nonzero square {square}")
-    if positivity <= tol:
-        raise DegenerateForm(f"form wedge conjugate is {positivity}, not positive")
-    b = np.array(matrix_of_form2(re), dtype=float) + 1j * np.array(
-        matrix_of_form2(im), dtype=float
-    )
-    _, s, vh = np.linalg.svd(b)
-    cutoff = max(tol, s[0] * np.finfo(float).eps * 8)
-    null_mask = s < cutoff
-    if int(null_mask.sum()) != 2:
-        raise DegenerateForm(f"kernel dimension {int(null_mask.sum())} != 2")
-    return vh[null_mask].conj().T

@@ -9,17 +9,20 @@ canonical form: one entry per k, the first nonzero component of k positive,
 and no sine term on k = 0.
 
 :func:`fiber_blocks` samples forms for every check: one exact fiber when all
-are constant, else the uniform grid in blocks of fixed size.  Every sample
-is a sum over the same few frequencies (d_m of a mode (k, a, b) is
-(k, b k_m, -a k_m), with the same phase <k, x>), so per block one cos/sin
-table of the forms' distinct frequencies gives all their coefficient rows
-by two matrix products; the table is built in slices of frequencies no
-longer than the rows, so its memory is bounded by the samples it yields.
-A sample depends on the grid point idx only through the phases k . idx
-mod n, so when the frequencies span a lattice of rank r < 4 the n^4 grid
-points take the values of n^r of them: the walk visits one point per class
-of the grid modulo that lattice (:func:`_walk_points`), and the whole grid
-only at rank 4.
+are constant, else the uniform grid in blocks of fixed size.  On the grid a
+phase is k . x = 2 pi (k . idx) / n, fixed by the integer residue
+k . idx mod n, so the walk builds no float point: it runs over integer
+coordinates, made block by block from a range of flat indices, and takes
+each phase's cos and sin from its residue.  When the frequencies span a
+lattice of rank r < 4 the n^4 grid points take the values of n^r of them,
+so the walk visits one point per class of the grid modulo that lattice
+(:func:`_walk_points`), and the whole grid, in its order, only at rank 4.
+Every sample is a sum over the same few frequencies (d_m of a mode
+(k, a, b) is (k, b k_m, -a k_m), with the same phase), so per block the cos
+and sin of the forms' distinct frequencies give all their coefficient rows
+by two matrix products, taken in slices of frequencies no longer than the
+rows.  A check's memory follows the block at every rank and grid; a walk is
+refused only when its indices would not fit int64.
 
 The pointwise algebra of I = omega^{-1} o F (linear in F's coefficients,
 see :func:`i_basis`) runs on the grid as two constant tables in F, built
@@ -46,7 +49,6 @@ The module also hosts the integrability diagnostics:
 """
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -302,7 +304,8 @@ def wedge_density(a: TrigPolyForm2, b: TrigPolyForm2) -> TrigPolyFn:
 
 
 def uniform_grid(n: int):
-    """The n^4 uniform grid on [0, 2 pi)^4 as an (n^4, 4) float array."""
+    """The n^4 uniform grid on [0, 2 pi)^4 as an (n^4, 4) float array, in
+    the order :func:`fiber_blocks` walks it at rank 4 (without building it)."""
     axis = 2 * math.pi * np.arange(n) / n
     # views of the axis, so the stacked output is the only n^4 allocation
     mesh = np.meshgrid(axis, axis, axis, axis, indexing="ij", copy=False)
@@ -348,7 +351,8 @@ def as_trig(f) -> TrigPolyForm2:
 
 #: walked points per block of :func:`fiber_blocks`: the work arrays follow
 #: the block (at most about 6.2 MiB at 4096 points, most of it the 144
-#: products of :func:`nijenhuis_defect`), not the grid^r points walked
+#: products of :func:`nijenhuis_defect`) at every rank and grid, not the
+#: grid^r points walked; a walk's cos/sin tables are no longer than a block
 CHUNK_POINTS = 4096
 
 
@@ -362,41 +366,79 @@ def constant_coeffs(form):
 
 
 def _phase_tables(fns):
-    """The shared frequencies of ``fns`` as slices of at most len(fns) modes.
+    """The shared frequencies of ``fns`` and the coefficients on them.
 
-    Returns a list of (k, ca, sb): k the (s, 4) frequency slice, and ca, sb
-    the (len(fns), s) cosine and sine coefficients of every function on it,
-    so each function's values are the sum over slices of
-    ca @ cos(k . x) + sb @ sin(k . x).
+    Returns (freqs, ca, sb): freqs the distinct frequencies as integer
+    4-tuples, and ca, sb the (len(fns), len(freqs)) cosine and sine
+    coefficients of every function on them, so each function's values are
+    ca @ cos(freqs . x) + sb @ sin(freqs . x).
     """
     cols = {}
     for fn in fns:
         for k, _, _ in fn.modes:
             cols.setdefault(k, len(cols))
-    ca = np.zeros((len(fns), len(cols)))
-    sb = np.zeros((len(fns), len(cols)))
-    for r, fn in enumerate(fns):
+    ca, sb = ([[0.0] * len(cols) for _ in fns] for _ in range(2))
+    for ca_row, sb_row, fn in zip(ca, sb, fns):
         for k, a, b in fn.modes:
-            ca[r, cols[k]], sb[r, cols[k]] = float(a), float(b)
-    freqs = np.array(list(cols), dtype=float)
-    step = len(fns)
-    return [
-        (freqs[j:j + step], ca[:, j:j + step], sb[:, j:j + step])
-        for j in range(0, len(cols), step)
-    ]
+            ca_row[cols[k]], sb_row[cols[k]] = float(a), float(b)
+    return list(cols), np.array(ca), np.array(sb)
 
 
-def _sample_block(block, tables, slots):
-    """The values at an (n, 4) block of every function of :func:`_phase_tables`,
-    computed as one C-contiguous (len(fns), n) array: each ``slice`` of
-    ``slots`` becomes that form's rows, any other slot is passed through."""
-    # 0.0 + (cos part + sin part) with block @ k per frequency are eval_grid's
-    # own operations, so a function of one mode gets its values bit for bit
+def _trig(j, table, m, phase, out):
+    """The cos (j = 0) or sin (j = 1) of a block's phases into ``out``:
+    read from table[j] at the residue sums m, or taken of the phases
+    themselves when there is no table."""
+    if table is None:
+        return (np.cos, np.sin)[j](phase, out=out)
+    # m is in range; unlike "raise", "clip" fills out unbuffered
+    return np.take(table[j], m, out=out, mode="clip")
+
+
+def _sample_block(flat, grid, table, tables, slots):
+    """The values of every function of :func:`_phase_tables` at the walk
+    points of the flat indices ``flat`` (a range), computed as one
+    C-contiguous (len(fns), n) array: each ``slice`` of ``slots`` becomes
+    that form's rows, any other slot is passed through.
+
+    A flat index's digits in base grid, the last fastest, are its walk
+    coordinates a in (Z/grid)^r.  ``tables`` holds the (w, ca, sb) of every
+    slice of frequencies, w their residue columns of :func:`_walk_points`,
+    so a frequency's phase at a is 2 pi m / grid with m = w . a mod grid.
+    ``table`` holds the cos and sin of 2 pi (j mod grid) / grid for every
+    sum j = w . a can take, read at w . a itself; when it is None, w . a
+    is reduced mod grid and the cos and sin are taken of the block's own
+    phases (:func:`_trig`).  Either way they are those of the axis values
+    2 pi m / grid of :func:`uniform_grid` bit for bit.
+
+    The coordinates, residues, phases and gathered cos and sin are views of
+    one work array that every slice reuses through ``out=``; it is freed on
+    return, so it is not held while the caller works on the rows, which are
+    new arrays.
+    """
+    (w0, ca0, _), n = tables[0], len(flat)  # the first slice is the longest
+    r, cols, height = w0.shape[1], len(w0), len(ca0)
+    work = np.empty((height + 2 * cols + r) * n)
+    floats, ints = work[:height * n], work[height * n:(height + cols) * n].view(np.intp)
+    gathered, a = work[(height + cols) * n:-r * n], work[-r * n:].view(w0.dtype).reshape(r, n)
+    q = np.arange(flat.start, flat.stop)
+    for i in range(r - 1, 0, -1):  # the digits, the last fastest
+        np.divmod(q, grid, out=(q, a[i]))
+    a[0] = q
     rows = 0.0
-    for freqs, ca, sb in tables:
-        phase = np.stack([block @ k for k in freqs])
-        part = ca @ np.cos(phase)
-        part += sb @ np.sin(phase, out=phase)
+    for w, ca, sb in tables:
+        m, g, phase = (v[:len(w) * n].reshape(-1, n) for v in (ints, gathered, floats))
+        if table is None:
+            np.matmul(w, a, out=m)
+            np.remainder(m, grid, out=m)
+            np.multiply(m, 2 * math.pi, out=phase)
+            np.divide(phase, grid, out=phase)
+        else:
+            np.matmul(w, a, out=phase)  # small integers: exact
+            np.copyto(m, phase, casting="unsafe")
+        # 0.0 + (cos part + sin part) are eval_grid's own operations, so a
+        # function of one mode gets a cos + b sin of its phase bit for bit
+        part = ca @ _trig(0, table, m, phase, g)
+        part += np.matmul(sb, _trig(1, table, m, phase, g), out=floats.reshape(height, n))
         part += rows  # in place: no second array of rows
         rows = part
     return tuple(rows[s] if isinstance(s, slice) else s for s in slots)
@@ -435,61 +477,61 @@ def _frequency_lattice(freqs):
     return u, r
 
 
-def physical_memory():
-    """The machine's physical memory in bytes, the bound of every run whose
-    size is known before it starts."""
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-
-
 def _walk_points(grid, freqs):
-    """The points :func:`fiber_blocks` walks for integer frequencies ``freqs``.
+    """The walk of :func:`fiber_blocks` for the integer frequencies ``freqs``,
+    as the (K, r) int64 matrix w of their phase residues, entries in
+    [0, grid).
 
-    With (u, r) of :func:`_frequency_lattice`, idx = u idx' is a bijection
-    of the grid indices (Z/grid)^4 and k . idx = (k u) . idx' depends on
-    idx'_1..r only, so every sample takes its values at the grid^r points
-    idx = u[:, :r] a mod grid, a in (Z/grid)^r (in that lexicographic order),
-    as floats of the same axis as :func:`uniform_grid`.  At rank 4 they are
-    ``uniform_grid(grid)`` itself.  A pivot sharing a factor with grid
-    leaves some classes walked more than once, which changes no maximum.
+    The walk's points are the integer coordinates a in (Z/grid)^r, in
+    lexicographic order, and frequency k has the phase 2 pi m / grid at a,
+    with m = w_k . a mod grid.  With (u, r) of :func:`_frequency_lattice`,
+    idx = u idx' is a bijection of the grid indices (Z/grid)^4 and
+    k . idx = (k u) . idx' depends on idx'_1..r only, so w = k u[:, :r]
+    mod grid (reduced in Python ints: u's entries may exceed int64) and the
+    grid^r points meet every class of the grid modulo the lattice.  At rank
+    4, u is the identity, so a is the grid index itself and the walk is the
+    whole grid in the order of :func:`uniform_grid`.  A pivot sharing a
+    factor with grid leaves some classes walked more than once, which
+    changes no maximum.
 
-    Raises WalkTooLarge, before any array is built, when the arrays of the
-    walk would take more bytes than the machine's physical memory.
+    Raises WalkTooLarge when an integer of the walk would not fit int64:
+    its flat indices, below grid^r, or its residue sums w_k . a, at most
+    r (grid - 1)^2.  Nothing else bounds a walk, whose arrays follow the
+    block.
     """
     u, r = _frequency_lattice(freqs)
-    # the (grid^r, 4) float points; below rank 4 also the (r, grid^r) indices
-    # and the two (grid^r, 4) integer arrays that index the axis
-    need = grid ** r * (32 if r == 4 else 8 * r + 96)
-    have = physical_memory()
-    if need > have:
-        raise WalkTooLarge(f"a walk of {grid}^{r} grid points needs {need} bytes, "
-                           f"more than the {have} bytes of physical memory")
+    if max(grid ** r, r * (grid - 1) ** 2) > np.iinfo(np.int64).max:
+        raise WalkTooLarge(f"a walk of {grid}^{r} grid points does not fit the int64 "
+                           f"range of its indices and residues")
     if r == 4:
-        return uniform_grid(grid)
-    axis = 2 * math.pi * np.arange(grid) / grid
-    a = np.indices((grid,) * r).reshape(r, grid ** r).T  # (Z/grid)^r in order
-    # u's entries may exceed int64, so reduce them in Python ints first
-    cols = np.array([[v % grid for v in row[:r]] for row in u], dtype=int)
-    return axis[a @ cols.T % grid]
+        return np.array([[v % grid for v in k] for k in freqs], dtype=np.int64)
+    return np.array([[sum(ki * row[j] for ki, row in zip(k, u)) % grid for j in range(r)]
+                     for k in freqs], dtype=np.int64)
 
 
 def fiber_blocks(grid: int, *forms):
     """Sample ``forms`` (Form2 or trig-poly forms) fiber by fiber.
 
     When every form is constant, yields one block of their exact
-    coefficients.  Otherwise walks the points of :func:`_walk_points`, one
-    per class of the grid of :func:`uniform_grid` modulo the lattice of the
-    forms' frequencies (grid^r points at rank r, the whole grid at rank 4),
-    in blocks of CHUNK_POINTS points.  Every sampled value is the one at its
-    grid point, and a class's other points differ from it only in how their
-    phases k . x round, so the maxima and minima over the walk are those
-    over the grid up to that rounding.  The distinct frequencies of all the
-    non-constant forms are collected once per call; per block one cos/sin
-    table of them gives every coefficient row at once, and each
-    non-constant form gets its (rows, n) slice of that C-contiguous array.
-    The frequency axis is walked in slices no longer than the rows, so the
-    table never outgrows the rows it produces.  A constant form gives its
-    float coefficients, which broadcast exactly as their grid values would.
-    ``grid`` must be at least 1, also when every form is constant.
+    coefficients.  Otherwise walks the integer coordinates of
+    :func:`_walk_points`, one point per class of the grid of
+    :func:`uniform_grid` modulo the lattice of the forms' frequencies
+    (grid^r points at rank r, the whole grid at rank 4), in blocks of
+    CHUNK_POINTS points made from their range of flat indices; no float
+    point is built.  A phase on the grid is 2 pi m / grid for an integer
+    residue m, so every point of a class takes the same values, and the
+    maxima and minima over the walk are those over the grid.  The distinct
+    frequencies of all the non-constant forms are collected once per call,
+    with one table of cos and sin over the residue sums when it is no
+    longer than a block; per block the phases' cos and sin give every
+    coefficient row at once, and each non-constant form gets its (rows, n)
+    slice of that C-contiguous array.  The frequency axis is walked in
+    slices no longer than the rows, so the phases never outgrow the rows
+    they produce; their work arrays are views of one array per block, freed
+    before the block is yielded (:func:`_sample_block`).  A constant form
+    gives its float coefficients, which broadcast exactly as
+    their grid values would.  ``grid`` must be at least 1, also when every
+    form is constant.
     """
     if grid < 1:
         raise ValueError(f"grid must be at least 1, got {grid}")
@@ -504,11 +546,21 @@ def fiber_blocks(grid: int, *forms):
             fns += form.c
         else:
             slots.append([float(v) for v in c])
-    tables = _phase_tables(fns)
-    pts = _walk_points(grid, np.concatenate([freqs for freqs, _, _ in tables]))
-    for start in range(0, len(pts), CHUNK_POINTS):
+    freqs, ca, sb = _phase_tables(fns)
+    w = _walk_points(grid, freqs)
+    r = w.shape[1]
+    total, span = grid ** r, r * (grid - 1) ** 2 + 1  # w . a < span
+    table = None
+    if span <= CHUNK_POINTS:
+        angle = 2 * math.pi * (np.arange(span) % grid) / grid
+        table, w = (np.cos(angle), np.sin(angle)), w.astype(float)  # BLAS, exact
+    step = len(fns)
+    tables = [(w[j:j + step], ca[:, j:j + step], sb[:, j:j + step])
+              for j in range(0, len(freqs), step)]
+    for start in range(0, total, CHUNK_POINTS):
         # no local keeps the samples, so a caller's del frees them
-        yield _sample_block(pts[start:start + CHUNK_POINTS], tables, slots)
+        yield _sample_block(range(start, min(start + CHUNK_POINTS, total)), grid, table, tables,
+                            slots)
 
 
 #: the matrices B_{e^ab} of the six basis bivectors, shape (6, 4, 4)
@@ -627,13 +679,14 @@ def nijenhuis_defect(omega: Form2, f, grid: int = 8, tol: float = 1e-9):
 
     The defect is the largest component of N(e_i, e_j) over all grid
     points and index pairs.  Its derivatives are exact: N is bilinear in F
-    and the symbolic partials d_m F, so per block it is one product of the
+    and the symbolic partials d_m F, so per block it is the product of the
     constant table of :func:`_nijenhuis_table` (built once per call) with
-    the 144 products F_p (d_m F)_q, and no finite-difference step or
-    per-point I-field is involved.  omega must pass ``check_omega`` at tol
-    (NonDegenerateRequired, before any block), and every block first
-    passes :func:`check_i_square` (NotPointwiseBrane otherwise).
-    max |dF| evaluates the exact exterior derivative pointwise on the same
+    the 144 products F_p (d_m F)_q, taken in column slices small enough for
+    OpenBLAS to keep each on the calling thread, and no finite-difference
+    step or per-point I-field is involved.  omega must pass
+    ``check_omega`` at tol (NonDegenerateRequired, before any block), and
+    every block first passes :func:`check_i_square` (NotPointwiseBrane
+    otherwise).  max |dF| evaluates the exact exterior derivative pointwise on the same
     grid.  Both vanish together: the structure is integrable exactly when
     F is closed.  The grid is walked by :func:`fiber_blocks`, so the work
     arrays keep a fixed size whatever the grid (a constant F is checked at
@@ -643,6 +696,9 @@ def nijenhuis_defect(omega: Form2, f, grid: int = 8, tol: float = 1e-9):
     basis = i_basis(omega, tol)
     omega_rows = [float(v) for v in omega.coeffs]
     table_t = _nijenhuis_table(basis).T
+    # OpenBLAS splits a product whose M*N*K passes 4 * 65536 over threads;
+    # contracted in column slices below that, the table stays on this thread
+    step = 4 * 65536 // table_t.size
     partials = [TrigPolyForm2(tuple(fn.derivative(m) for fn in f.c)) for m in range(4)]
     defects, dfs = [], []
     for rows in fiber_blocks(grid, f, *partials, exterior_d(f)):
@@ -653,8 +709,10 @@ def nijenhuis_defect(omega: Form2, f, grid: int = 8, tol: float = 1e-9):
         prod = np.empty((6, 4, 6, fc.shape[1]))  # F_p (d_m F)_q at [p, m, q]
         for m, d in enumerate(d_f):
             np.multiply(fc[:, None], d, out=prod[:, m])
-        n_comps = table_t @ prod.reshape(144, -1)
-        defects.append(np.abs(n_comps, out=n_comps).max())
+        prod = prod.reshape(144, -1)
+        for j in range(0, prod.shape[1], step):
+            n_comps = table_t @ prod[:, j:j + step]
+            defects.append(np.abs(n_comps, out=n_comps).max())
         # freeing this block before the next one is sampled saves fresh pages
         del rows, fc, d_f, d_form, prod, n_comps
     # np.max, unlike the builtin, keeps a NaN from any block

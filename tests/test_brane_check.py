@@ -29,6 +29,7 @@ from branekit.exterior4 import (
     is_exact,
     max_abs,
     pfaffian,
+    pullback_form2,
     square_resid,
     type_projectors,
     wedge,
@@ -58,6 +59,7 @@ from conftest import (
     random_brane_field,
     random_brane_pair,
     random_form2,
+    random_int_gl4,
     trig_polys,
 )
 
@@ -308,9 +310,10 @@ def _bumped(form):
     return bump * TrigPolyForm2.from_constant(form)
 
 
-def _closed_11(phi):
-    """d(I^* d phi) for I = omega^{-1} o F0: closed and of type (1,1)."""
-    i = compose_i(W0, F0).m
+def _closed_11(phi, i=None):
+    """d(I^* d phi) for the rows i of I = omega^{-1} o F (by default those of
+    omega0 and F0): closed and of type (1,1)."""
+    i = compose_i(W0, F0).m if i is None else i
     dphi = [phi.derivative(a) for a in range(4)]
     return exterior_d(TrigPolyForm1.from_fns(
         [sum((i[a][j] * dphi[a] for a in range(4)), TrigPolyFn.zero()) for j in range(4)]
@@ -391,6 +394,88 @@ class TestFiberWalk:
             tracemalloc.stop()
         # the points of the grid take 10.1 MiB, the blocks the rest
         assert peak <= 16 * 2**20
+
+
+#: phi of a deformation whose frequencies span Z^4, three of them with
+#: several components, so its walk is the whole grid
+PHI_RANK_4 = (TrigPolyFn.mode((1, 2, 0, 0), cos=1) + TrigPolyFn.mode((0, 1, -1, 1), sin=2)
+              + TrigPolyFn.mode((0, 0, 1, 0), cos=-1) + TrigPolyFn.mode((2, -1, 1, 1), sin=1))
+
+
+def _deformed_pair(seed, phi):
+    """(omega, F, alpha) as the deformation benchmark builds them: (omega0,
+    F0) pulled back by a det-1 integer map and the closed (1,1) deformation
+    alpha = d(I^* d phi) for I = omega^{-1} o F."""
+    rng = np.random.default_rng(seed)
+    p = random_int_gl4(rng, bound=1)
+    while round(np.linalg.det(np.array(p.m, dtype=float))) != 1:
+        p = random_int_gl4(rng, bound=1)
+    omega, f = pullback_form2(p, W0), pullback_form2(p, F0)
+    i = [[int(v) for v in row] for row in compose_i(omega, f).m]  # p^-1 I0 p, integer
+    return omega, f, _closed_11(phi, i)
+
+
+class TestRankFourWalk:
+    """The gridded checks on F + alpha of :func:`_deformed_pair`, whose walk
+    is the whole grid, against the same maxima taken point by point."""
+
+    @pytest.mark.parametrize("grid", [4, 5, 8])
+    def test_checks_match_pointwise_maxima(self, grid):
+        omega, f, alpha = _deformed_pair(7, PHI_RANK_4)
+        deformed = TrigPolyForm2.from_constant(f) + alpha
+        freqs = {k for fn in deformed.c for k, _, _ in fn.modes}
+        assert torus_forms._frequency_lattice(sorted(freqs))[1] == 4
+        # closed, but with a (2,0)+(0,2) part
+        beta = alpha + exterior_d(
+            TrigPolyForm1.from_fns([0, 0, TrigPolyFn.mode((1, 1, 0, 0), sin=1), 0]))
+        # integer I, and a float omega for I at each point: quick exact-free arithmetic
+        i = LinearMap4.from_rows([[int(v) for v in row] for row in compose_i(omega, f).m])
+        omega_f = Form2.from_coeffs([float(v) for v in omega.coeffs])
+        w_oo = wedge22(omega, omega).v
+        sq = orth = i_sq = quad = a_orth = 0.0
+        low, types = math.inf, [0.0, 0.0]
+        for x in uniform_grid(grid):  # TrigPolyFn.eval at every grid point
+            d, a = eval_at(deformed, x), eval_at(alpha, x)
+            w_dd = wedge22(d, d).v
+            sq, orth = max(sq, abs(w_dd - w_oo)), max(orth, abs(wedge22(d, omega).v))
+            low = min(low, w_dd)
+            i_sq = max(i_sq, square_resid(compose_i(omega_f, d)))
+            quad = max(quad, abs(wedge22(f, a).v + wedge22(a, a).v / 2))
+            a_orth = max(a_orth, abs(wedge22(a, omega).v))
+            for j, form in enumerate((alpha, beta)):
+                types[j] = max(types[j], type_projectors(i, eval_at(form, x))[1].max_abs())
+
+        def close(got, want):
+            assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
+
+        report = verify_brane(omega, deformed, grid=grid)
+        close(report.wedge_square_resid, sq)
+        close(report.wedge_orth_resid, orth)
+        close(report.i_square_resid, i_sq)
+        close(report.hol_symp.positivity_min, low + w_oo)
+        assert report.orientation_ok == (low > 0) and report.grid_used == grid ** 4
+        assert sq > 1  # alpha ^ alpha: F + alpha is a brane only to first order
+        r_quad, r_orth, r_closed = deformation_residuals(omega, f, alpha, grid=grid)
+        close(r_quad, quad)
+        close(r_orth, a_orth)
+        assert r_closed == 0
+        assert types[0] <= 1e-9 < types[1]
+        for form, peak in zip((alpha, beta), types):
+            assert linearized_deformation_check(omega, f, form, grid=grid) == (peak <= 1e-9)
+
+    def test_peak_memory_follows_the_block(self):
+        omega, f, alpha = _deformed_pair(7, PHI_RANK_4)
+        deformed = TrigPolyForm2.from_constant(f) + alpha
+        verify_brane(omega, deformed, grid=4)  # first-call allocations
+        peaks = []
+        for grid in (8, 24):  # 8^4 points are one block, 24^4 are 81
+            tracemalloc.start()
+            try:
+                verify_brane(omega, deformed, grid=grid)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 2**20
 
 
 floats = st.floats(-3, 3)
@@ -642,7 +727,7 @@ class TestQuotientWalk:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(torus_forms, "CHUNK_POINTS", 37)  # divides no grid^4 here
             got = _gridded_reports(omega, field, alpha, grid)
-            mp.setattr(torus_forms, "_walk_points", lambda grid, freqs: uniform_grid(grid))
+            mp.setattr(torus_forms, "_walk_points", lambda grid, freqs: np.array(freqs) % grid)
             want = _gridded_reports(omega, field, alpha, grid)
         for a, b in zip(got, want, strict=True):
             _assert_close(a, b, scale)

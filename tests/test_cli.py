@@ -368,10 +368,11 @@ class TestVerifyWalk:
         assert report["checks_agree"] is True
 
     @pytest.mark.parametrize("command", ["verify", "nijenhuis"])
-    @pytest.mark.parametrize("grid", [3000, 100000])
+    @pytest.mark.parametrize("grid", [65536, 100000])
     def test_walk_beyond_memory_is_input_error(self, tmp_path, omega_file, command, grid, capsys):
-        # frequencies spanning Z^4 make the walk the whole grid: 32 * grid^4
-        # bytes of points, 2.6 PB at grid 3000, so a missing guard fails at once
+        # frequencies spanning Z^4 make the walk the whole grid; the walk's
+        # memory follows the block, and its grid^4 flat indices pass int64
+        # from grid 55109 (65536^4 = 2^64), so a missing guard fails at once
         axes = [[int(i == j) for j in range(4)] for i in range(4)]
         constant = lambda c: [{"k": [0, 0, 0, 0], "cos": c}]  # noqa: E731
         form = _trig_file(
@@ -382,7 +383,7 @@ class TestVerifyWalk:
         assert main([command, omega_file, form, "--grid", str(grid), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error:")
-        assert "physical memory" in err
+        assert "int64" in err
         assert not out.exists()
 
 

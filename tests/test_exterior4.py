@@ -10,10 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from branekit.errors import DegenerateForm, NonDegenerateRequired, NotAlmostComplex
+from branekit.errors import NonDegenerateRequired, NotAlmostComplex
 from branekit.exterior4 import (
     BIVECTOR_SLOTS,
-    ComplexForm2,
     Form2,
     LinearMap4,
     compose_i,
@@ -23,7 +22,6 @@ from branekit.exterior4 import (
     inverse_times,
     is_almost_complex,
     is_exact,
-    kernel_of_complex_2form,
     matrix_of_form2,
     max_abs,
     pfaffian,
@@ -305,36 +303,6 @@ class TestTypeProjectors:
             assert all(v == 0 for v in p2002.coeffs)
         else:
             assert any(v != 0 for v in p2002.coeffs)
-
-
-class TestKernel:
-    def test_standard_kernel_span(self):
-        ker = kernel_of_complex_2form(ComplexForm2(re=F0, im=W0))
-        assert ker.shape == (4, 2)
-        # each kernel vector is annihilated by the form and is an
-        # eigenvector of I with eigenvalue -i
-        b = np.array(matrix_of_form2(F0), float) + 1j * np.array(matrix_of_form2(W0), float)
-        i0 = np.array([[float(e) for e in row] for row in compose_i(W0, F0).m])
-        for col in ker.T:
-            assert np.abs(b @ col).max() <= 1e-12
-            assert np.abs(i0 @ col + 1j * col).max() <= 1e-10
-        # span check against (1, i, 0, 0) and (0, 0, 1, i)
-        expected = np.array([[1, 1j, 0, 0], [0, 0, 1, 1j]], complex).T / np.sqrt(2)
-        proj = expected @ (expected.conj().T @ ker)
-        assert np.abs(proj - ker).max() <= 1e-10
-
-    def test_isotropy_violation_rejected(self):
-        with pytest.raises(DegenerateForm):
-            kernel_of_complex_2form(ComplexForm2(re=W0, im=W0))
-
-    def test_random_brane_pairs_have_2d_kernel(self):
-        rng = np.random.default_rng(11)
-        for _ in range(10):
-            omega, f, _ = random_brane_pair(rng)
-            ker = kernel_of_complex_2form(ComplexForm2(re=f, im=omega))
-            i = np.array([[float(e) for e in row] for row in compose_i(omega, f).m])
-            for col in ker.T:
-                assert np.abs(i @ col + 1j * col).max() <= 1e-10
 
 
 class TestPullback:

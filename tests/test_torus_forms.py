@@ -12,7 +12,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from branekit import torus_forms
-from branekit.errors import NotPointwiseBrane
+from branekit.errors import NotPointwiseBrane, WalkTooLarge
 from branekit.exterior4 import Form2, matrix_of_form2, pfaffian
 from branekit.torus_forms import (
     TRIVECTOR_SLOTS,
@@ -284,20 +284,53 @@ class TestQuotientWalk:
 
     @given(frequency_lists, st.integers(1, 6))
     def test_walk_meets_every_class_of_the_grid(self, freqs, grid):
-        """Each grid point has a walked point with the same phases k . idx
-        mod grid for every k, and the walk has grid^r points."""
+        """The residues w . a mod grid at the grid^r walk coordinates a are
+        the phases k . idx mod grid of every grid point idx, and at rank 4
+        a is idx itself."""
         k = np.array(freqs)
         r = np.linalg.matrix_rank(k)
-        pts = torus_forms._walk_points(grid, freqs)
-        assert pts.shape == (grid ** r, 4) and pts.flags.c_contiguous
-        idx = np.rint(pts * grid / (2 * math.pi)).astype(int)
-        axis = 2 * math.pi * np.arange(grid) / grid
-        assert np.array_equal(axis[idx], pts)  # coordinates of the grid itself
-        walked = {tuple(row) for row in idx @ k.T % grid}
+        w = torus_forms._walk_points(grid, freqs)
+        assert w.shape == (len(freqs), r) and w.dtype == np.int64
+        assert ((0 <= w) & (w < grid)).all()
+        a = np.indices((grid,) * r).reshape(r, grid ** r)  # (Z/grid)^r in order
+        walked = {tuple(col) for col in (w @ a % grid).T}
         every = {tuple(row) for row in np.indices((grid,) * 4).reshape(4, -1).T @ k.T % grid}
         assert walked == every
         if r == 4:
-            assert np.array_equal(pts, uniform_grid(grid))
+            assert np.array_equal(w, k % grid)
+
+    @pytest.mark.parametrize("freqs, largest", [
+        ([(1, 0, 0, 0)], 3037000500),  # rank 1: the residue sums (grid - 1)^2
+        ([(1, 0, 0, 0), (0, 1, 0, 0)], 2147483648),  # rank 2: 2 (grid - 1)^2
+        ([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], 55108),  # grid^4
+    ])
+    def test_walk_is_refused_only_past_int64(self, freqs, largest):
+        w = torus_forms._walk_points(largest, freqs)
+        assert w.shape == (len(freqs), len(freqs)) and w.dtype == np.int64
+        with pytest.raises(WalkTooLarge):
+            torus_forms._walk_points(largest + 1, freqs)
+
+
+def _walked_indices(grid, freqs):
+    """The grid index of every point fiber_blocks walks for ``freqs``, in
+    order: u[:, :r] a mod grid for a in (Z/grid)^r (lexicographic), with
+    (u, r) of the frequency lattice; the grid itself, in order, at rank 4."""
+    u, r = torus_forms._frequency_lattice(freqs)
+    a = np.indices((grid,) * r).reshape(r, grid ** r)
+    if r == 4:
+        return a.T
+    return ((np.array(u)[:, :r] % grid) @ a % grid).T
+
+
+def _exact_phase_values(fn, idx, grid):
+    """fn at the grid indices ``idx`` with every phase taken from its exact
+    residue: a cos + b sin of 2 pi ((k . idx) mod grid) / grid per mode,
+    summed from 0.0 as eval_grid sums."""
+    out = np.zeros(len(idx))
+    for k, a, b in fn.modes:
+        phase = 2 * math.pi * (idx @ np.array(k) % grid) / grid
+        out += float(a) * np.cos(phase) + float(b) * np.sin(phase)
+    return out
 
 
 class TestFiberBlocks:
@@ -308,7 +341,6 @@ class TestFiberBlocks:
         assert all(type(v) is int for block in blocks for form in block for v in form)
 
     def test_constant_floats_equal_grid_values_bit_for_bit(self, monkeypatch):
-        monkeypatch.setattr(torus_forms, "CHUNK_POINTS", 1000)
         # one mode per slot, whose frequencies span Z^4
         rot = TrigPolyForm2.from_fns([
             TrigPolyFn.mode((1, 2, 0, 0), cos=1), TrigPolyFn.mode((0, 1, -1, 1), sin=1),
@@ -316,17 +348,23 @@ class TestFiberBlocks:
             TrigPolyFn.mode((1, 2, 0, 0), sin=1), 0,
         ])
         third_f0 = TrigPolyForm2.from_constant(Fraction(1, 3) * F0)
-        pts = torus_forms._walk_points(6, _frequencies(rot))
-        assert np.array_equal(pts, uniform_grid(6))  # rank 4: 6^4 points, 2 blocks
-        start = 0
-        for rot_rows, const, omega in fiber_blocks(6, rot, third_f0, W0):
-            block = pts[start:start + 1000]
-            assert np.array_equal(rot_rows, rot.eval_grid(block).T)
-            for value, grid_values in zip(const, third_f0.eval_grid(block).T):
-                assert type(value) is float and np.all(grid_values == value)
-            assert omega == [float(v) for v in W0.coeffs]
-            start += len(block)
-        assert start == len(pts)
+        idx = _walked_indices(6, _frequencies(rot))
+        assert np.array_equal(idx, np.indices((6,) * 4).reshape(4, -1).T)  # rank 4: 6^4 points
+        pts = uniform_grid(6)
+        # blocks of 1000 read a cos/sin table; blocks of 37 are shorter than
+        # it, so they take cos and sin of their own phases
+        for chunk in (1000, 37):
+            monkeypatch.setattr(torus_forms, "CHUNK_POINTS", chunk)
+            start = 0
+            for rot_rows, const, omega in fiber_blocks(6, rot, third_f0, W0):
+                block = idx[start:start + chunk]
+                want = np.array([_exact_phase_values(fn, block, 6) for fn in rot.c])
+                assert rot_rows.tobytes() == want.tobytes()
+                for value, grid_values in zip(const, third_f0.eval_grid(pts[start:start + chunk]).T):
+                    assert type(value) is float and np.all(grid_values == value)
+                assert omega == [float(v) for v in W0.coeffs]
+                start += len(block)
+            assert start == len(idx)
 
     def test_grid_below_one_is_refused_before_the_constant_shortcut(self):
         for grid in (0, -2):
@@ -350,9 +388,9 @@ class TestFiberBlocks:
         )
         assume(constant_coeffs(f) is None)
         forms = (f, W0, exterior_d(f), TrigPolyForm2.from_constant(KAPPA), g)
-        freqs = _frequencies(*forms)
-        pts = torus_forms._walk_points(grid, freqs)
-        if torus_forms._frequency_lattice(freqs)[1] == 4:
+        idx = _walked_indices(grid, _frequencies(*forms))
+        pts = 2 * math.pi * idx / grid  # the axis values of uniform_grid
+        if len(idx) == grid ** 4:
             assert np.array_equal(pts, uniform_grid(grid))
         start = 0
         with pytest.MonkeyPatch.context() as mp:
@@ -365,10 +403,7 @@ class TestFiberBlocks:
                         continue
                     assert got.shape == (len(form.c), len(block)) and got.flags.c_contiguous
                     for fn, row, want in zip(form.c, got, form.eval_grid(block).T):
-                        if len(fn.modes) <= 1:
-                            assert row.tobytes() == want.tobytes()
-                        else:
-                            assert np.abs(row - want).max() <= 1e-13 * fn.coefficient_norm()
+                        assert np.abs(row - want).max() <= 1e-13 * fn.coefficient_norm()
                 start += len(block)
         assert start == len(pts)
 
