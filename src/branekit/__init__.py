@@ -4,7 +4,6 @@ on symplectic 4-manifolds."""
 from .brane_check import (
     BraneReport,
     HolSympReport,
-    brane_of_complex_structure,
     deformation_residuals,
     equivalence_check,
     linearized_deformation_check,
@@ -59,14 +58,12 @@ from .torus_forms import (
     eval_at,
     exterior_d,
     integrability_identity_residual,
-    integrate,
     nijenhuis_defect,
     rotation_family,
     standard_brane,
     standard_kahler,
     standard_symplectic,
     uniform_grid,
-    wedge_density,
 )
 
 __version__ = "0.1.0"

@@ -20,23 +20,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotAlmostComplex, NotSkew
 from .exterior4 import (
     Form2,
-    LinearMap4,
     check_omega,
+    compose_i,
     exact_div,
-    form2_of_matrix,
     half,
-    is_almost_complex,
     is_exact,
-    matrix_of_form2,
     max_abs,
     omega_unit,
     wedge,
 )
-from .torus_forms import (check_i_square, constant_coeffs, exterior_d, fiber_blocks,
-                          fiber_residuals, i_basis, i_square_peak)
+from .torus_forms import (check_i_square, constant_coeffs, exterior_d, fiber_blocks, i_basis,
+                          i_square_peak, i_square_terms)
 
 
 @dataclass(frozen=True)
@@ -53,12 +49,16 @@ class HolSympReport:
 
 @dataclass(frozen=True)
 class BraneReport:
-    """Residuals of the three brane conditions plus the I^2 = -Id check.
+    """Residuals of the three brane conditions, plus I^2 + Id reported.
 
-    ``passed`` is true exactly when every residual is at most ``tol`` in
-    the unit u = |pf(omega)| of :func:`omega_unit` (the wedge residuals at
-    most tol * u, closedness at most tol * sqrt(u), I^2 + Id at most tol)
-    and F ^ F is positive (the orientation content of condition (1)).
+    ``passed`` is true exactly when every condition's residual is at most
+    ``tol`` in the unit u = |pf(omega)| of :func:`omega_unit` (the wedge
+    residuals at most tol * u, closedness at most tol * sqrt(u)) and F ^ F
+    is positive (the orientation content of condition (1)).  The wedges
+    decide I^2 = -Id for I = omega^{-1} o F: passing, they bound
+    max(|2c|, |1 - r|) of :func:`check_i_square` by tol.  So
+    ``i_square_resid``, the largest of the 16 entries of I^2 + Id, is a
+    diagnostic only; it depends on the frame and no verdict reads it.
     ``hol_symp`` is the report of F + i*omega, read from the same samples
     and wedges.
     """
@@ -122,12 +122,23 @@ def _hol_symp_report(blocks, closed, grid_used, tol) -> HolSympReport:
     return HolSympReport(positivity_min, square_resid, closed_resid, passed, grid_used, tol)
 
 
-def _brane_passed(r_sq, r_orth, r_closed, r_i, orientation_ok, tol, u):
+def _brane_passed(r_sq, r_orth, r_closed, orientation_ok, tol, u):
     """The verdict of :class:`BraneReport` from its residuals and the unit
     u of :func:`omega_unit`; elementwise over arrays of residuals.  A NaN
     residual fails."""
     return ((r_sq <= tol * u) & (r_orth <= tol * u) & (r_closed <= tol * math.sqrt(u))
-            & (r_i <= tol) & orientation_ok)
+            & orientation_ok)
+
+
+def _i_square_peak(omega, basis, fc, w_ff, w_fo, w_oo, tol):
+    """The report's max |I^2 + Id| over one block: I's entries are
+    ``basis.T @ fc`` on a grid block (``basis`` from i_basis) and the exact
+    ones of compose_i at one fiber (``basis`` None)."""
+    if basis is None:
+        entries = [e for row in compose_i(omega, Form2.from_coeffs(fc), tol).m for e in row]
+    else:
+        entries = basis.T @ fc
+    return i_square_peak(i_square_terms(entries, w_ff, w_fo, w_oo))
 
 
 def verify_brane(omega: Form2, f, grid: int = 8, tol: float = 1e-9) -> BraneReport:
@@ -145,19 +156,19 @@ def verify_brane(omega: Form2, f, grid: int = 8, tol: float = 1e-9) -> BraneRepo
     basis = None if constant_coeffs(f) is not None else i_basis(omega, tol)
     hs, orth, i_sq, low = [], [], [], []
     for fc, oc in fiber_blocks(grid, f, omega):
-        w_ff, w_fo, w_oo, i_terms = fiber_residuals(omega, basis, fc, oc, tol)
+        w_ff, w_fo, w_oo = wedge(fc, fc), wedge(fc, oc), wedge(oc, oc)
         hs.append(_hol_symp_block(w_ff, w_oo, w_fo))
         orth.append(_peak(w_fo))
-        i_sq.append(i_square_peak(i_terms))
+        i_sq.append(_i_square_peak(omega, basis, fc, w_ff, w_fo, w_oo, tol))
         low.append(_low(w_ff))
-        del fc, w_ff, w_fo, i_terms  # freed before the next block is sampled
+        del fc, w_ff, w_fo  # freed before the next block is sampled
     # F^F - omega^omega is the real part of (F + i omega)^(F + i omega)
     r_sq, r_orth, r_i = max_abs(block[0] for block in hs), max_abs(orth), max_abs(i_sq)
     closed = _closedness_resid(f)
     sampled = basis is not None
     r_closed = float(closed) if sampled else closed  # grid: floats
     orientation_ok = bool(_least(low) > 0)
-    passed = _brane_passed(r_sq, r_orth, r_closed, r_i, orientation_ok, tol, omega_unit(omega))
+    passed = _brane_passed(r_sq, r_orth, r_closed, orientation_ok, tol, omega_unit(omega))
     grid_used = grid ** 4 if sampled else 1
     hol_symp = _hol_symp_report(hs, [closed, _closedness_resid(omega)], grid_used, tol)
     return BraneReport(
@@ -170,18 +181,17 @@ def constant_branes_pass(omega: Form2, fc, tol: float = 1e-9):
 
     ``fc`` holds their six coefficients as (S,) float arrays, one entry per
     form; entry s of the (S,) bool result is form s's verdict, from the
-    :func:`fiber_residuals` of its one-fiber check (a constant form is
-    closed).  Only the reductions are per entry: the I^2 + Id peak is the
-    max over the 16 entries of each form.  omega must pass ``check_omega``
-    at tol (NonDegenerateRequired otherwise).
+    three wedges of its one-fiber check (a constant form is closed).  omega
+    must pass ``check_omega`` at tol (NonDegenerateRequired otherwise).
     """
-    w_ff, w_fo, w_oo, i_terms = fiber_residuals(omega, None, fc, omega.coeffs, tol)
+    check_omega(omega, tol)
+    oc = omega.coeffs
+    w_ff, w_fo, w_oo = wedge(fc, fc), wedge(fc, oc), wedge(oc, oc)
 
     def per_form(x):  # an exact omega may leave object arrays of floats
         return np.asarray(x, dtype=float)
 
-    r_i = np.abs(per_form(i_terms)).max(axis=0)  # ndarray.max keeps a NaN
-    return _brane_passed(np.abs(per_form(w_ff - w_oo)), np.abs(per_form(w_fo)), 0, r_i,
+    return _brane_passed(np.abs(per_form(w_ff - w_oo)), np.abs(per_form(w_fo)), 0,
                          per_form(w_ff) > 0, tol, omega_unit(omega))
 
 
@@ -214,30 +224,13 @@ def equivalence_check(omega: Form2, f, grid: int = 8, tol: float = 1e-9) -> bool
     The two formulations are equivalent, and their wedge tests ask the
     same: F^F - omega^omega and F^omega meet tol * u in the brane check,
     the real and imaginary parts of (F + i omega)^2 meet tol * u and
-    2 tol * u.  They can still disagree near tol where they ask different
-    things: the brane check also needs I^2 + Id at most tol, and F^F > 0
-    where the other needs F^F + omega^omega > tol * u.  Away from tol they
-    agree; this is a runnable consistency probe.
+    2 tol * u; neither reads I^2 + Id.  The one place they can disagree is
+    orientation against positivity: the brane check needs F^F > 0 where
+    the other needs F^F + omega^omega > tol * u.  Away from tol they agree;
+    this is a runnable consistency probe.
     """
     report = verify_brane(omega, f, grid=grid, tol=tol)
     return report.passed == report.hol_symp.passed
-
-
-def brane_of_complex_structure(omega: Form2, i: LinearMap4, tol: float = 1e-9) -> Form2:
-    """F = omega o I, the brane form of an almost complex structure.
-
-    Requires i to square to -Id and omega(i., .) to be antisymmetric; the
-    round trip compose_i(omega, F) recovers i.  Fields of maps are handled
-    by applying this pointwise.
-    """
-    if not is_almost_complex(i, tol):
-        raise NotAlmostComplex("I^2 != -Id")
-    b_omega = LinearMap4.from_rows(matrix_of_form2(omega))
-    b_f = (i.transpose() @ b_omega).m
-    sym = max_abs(b_f[a][b] + b_f[b][a] for a in range(4) for b in range(4))
-    if not sym <= tol:
-        raise NotSkew(f"omega o I has symmetric part {sym}")
-    return form2_of_matrix(b_f)
 
 
 def deformation_residuals(omega: Form2, f, alpha, grid: int = 8, tol: float = 1e-9):
@@ -263,8 +256,9 @@ def linearized_deformation_check(
 
     omega must pass ``check_omega`` at tol (NonDegenerateRequired), before
     any verdict, also that of an alpha that is not closed.  Needs I^2 = -Id
-    (``check_i_square``, else NotPointwiseBrane, a NotAlmostComplex): then
-    F + i*omega is of type (2,0), so the (2,0)+(0,2) part of alpha is
+    (``check_i_square`` on each block's wedges, else NotPointwiseBrane, a
+    NotAlmostComplex): then F + i*omega is of type (2,0), so the
+    (2,0)+(0,2) part of alpha is
 
         ((alpha^F) F + (alpha^omega) omega) / (omega^omega),
 
@@ -275,12 +269,11 @@ def linearized_deformation_check(
     check_omega(omega, tol)
     if _closedness_resid(alpha) > tol:
         return False
-    basis = None if constant_coeffs(f) is not None else i_basis(omega, tol)
     peaks = []
     for fc, ac, oc in fiber_blocks(grid, f, alpha, omega):
-        _, _, vol, i_terms = fiber_residuals(omega, basis, fc, oc, tol)
-        check_i_square(i_terms, tol)
+        vol = wedge(oc, oc)
+        check_i_square(wedge(fc, fc), wedge(fc, oc), vol, tol)
         w_f, w_o = wedge(ac, fc), wedge(ac, oc)
         peaks += [_peak(exact_div(w_f * x + w_o * y, vol)) for x, y in zip(fc, oc)]
-        del fc, ac, i_terms, w_f, w_o  # freed before the next block is sampled
+        del fc, ac, w_f, w_o  # freed before the next block is sampled
     return bool(max_abs(peaks) <= tol)  # a NaN never passes

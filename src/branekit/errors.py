@@ -17,10 +17,6 @@ class NotPointwiseBrane(NotAlmostComplex):
     """The candidate complex structure fails I^2 = -Id at some grid point."""
 
 
-class NotSkew(BranekitError):
-    """omega composed with the given map has a symmetric part above tolerance."""
-
-
 class WrongSpace(BranekitError):
     """Operation requires the torus cohomology model."""
 

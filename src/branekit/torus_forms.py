@@ -24,16 +24,17 @@ by two matrix products, taken in slices of frequencies no longer than the
 rows.  A check's memory follows the block at every rank and grid; a walk is
 refused only when its indices would not fit int64.
 
-The pointwise algebra of I = omega^{-1} o F (linear in F's coefficients,
-see :func:`i_basis`) runs on the grid as two constant tables in F, built
-once per call from ``i_basis``, with no per-point I-field:
-
-* I^2 + Id in closed form, 2c I + (1 - r) Id from I's entries and the
-  block's wedges (:func:`i_square_terms`), both taken by
-  :func:`fiber_residuals`; the same formula gives the exact value at one
-  fiber from the entries of ``compose_i``;
-* the Nijenhuis tensor, bilinear in F and its partials, as one (144, 24)
-  table derived from the one Nijenhuis formula (:func:`_nijenhuis_table`).
+Whether I = omega^{-1} o F squares to -Id is read from the wedges alone:
+I^2 + Id = 2c I + (1 - r) Id with c = F^omega / omega^omega and
+r = F^F / omega^omega (:func:`_pencil_terms`), so the one guard,
+:func:`check_i_square`, takes the two scalars 2c and 1 - r, free of the
+frame, from the wedges a block already forms.  The 16 entries of I^2 + Id
+(:func:`i_square_terms`) remain as a diagnostic of the brane report only.
+The rest of the pointwise algebra of I (linear in F's coefficients, see
+:func:`i_basis`) runs on the grid with no per-point I-field: the Nijenhuis
+tensor, bilinear in F and its partials, is one constant (144, 24) table in
+F, built once per call from ``i_basis`` and derived from the one Nijenhuis
+formula (:func:`_nijenhuis_table`).
 
 The module also hosts the integrability diagnostics:
 
@@ -58,7 +59,6 @@ from .errors import NotPointwiseBrane, WalkTooLarge
 from .exterior4 import (
     BIVECTOR_SLOTS,
     Form2,
-    compose_i,
     exact_div,
     half,
     inverse_times,
@@ -291,16 +291,6 @@ def exterior_d(form):
 def eval_at(f: TrigPolyForm2, x) -> Form2:
     """Pointwise Fourier evaluation of a trig-poly 2-form."""
     return Form2.from_coeffs(tuple(fn.eval(x) for fn in f.c))
-
-
-def integrate(f: TrigPolyFn) -> float:
-    """Integral over the torus: (2 pi)^4 times the constant Fourier mode."""
-    return (2 * math.pi) ** 4 * float(f.constant_term)
-
-
-def wedge_density(a: TrigPolyForm2, b: TrigPolyForm2) -> TrigPolyFn:
-    """Coefficient function of a wedge b on e^{1234} (symbolic, exact)."""
-    return wedge(a.c, b.c)
 
 
 def uniform_grid(n: int):
@@ -580,19 +570,30 @@ def i_basis(omega: Form2, tol: float = 1e-12):
     return (inverse @ _UNIT_BIVECTORS).reshape(6, 16)
 
 
-def i_square_terms(i_entries, w_ff, w_fo, w_oo):
-    """The 16 row-major entries of I^2 + Id from I's entries, with no I @ I.
+def _pencil_terms(w_ff, w_fo, w_oo):
+    """2c and 1 - r of I^2 + Id = 2c I + (1 - r) Id from the wedges ``w_ff``
+    = F^F, ``w_fo`` = F^omega and ``w_oo`` = omega^omega, exact when all
+    three are and one value per fiber for rows.
 
     In dimension 4, Cayley-Hamilton for the Pfaffian pencil pf(F - t omega)
     gives I^2 = 2c I - r Id with c = (F^omega)/(omega^omega) and
-    r = (F^F)/(omega^omega), so I^2 + Id = 2c I + (1 - r) Id with the
-    wedges ``w_ff`` = F^F, ``w_fo`` = F^omega and ``w_oo`` = omega^omega.
+    r = (F^F)/(omega^omega).  With 2c not 0, I^2 + Id = 0 would make I a
+    real multiple of Id, whose square is not -Id; so I^2 = -Id exactly when
+    both terms vanish.
+    """
+    return exact_div(2 * w_fo, w_oo), 1 - exact_div(w_ff, w_oo)
+
+
+def i_square_terms(i_entries, w_ff, w_fo, w_oo):
+    """The 16 row-major entries of I^2 + Id from I's entries and the
+    :func:`_pencil_terms` of the wedges, with no I @ I.
+
     Plain arithmetic like :func:`wedge`: the exact entries of compose_i at
     one fiber give exact values, and entries that are arrays with one value
     per fiber give each fiber's values with the same bits; the (16, n) rows
     ``basis.T @ f_rows`` of a grid block are scaled in place.
     """
-    two_c, diag = exact_div(2 * w_fo, w_oo), 1 - exact_div(w_ff, w_oo)
+    two_c, diag = _pencil_terms(w_ff, w_fo, w_oo)
     if isinstance(i_entries, np.ndarray):
         i_entries *= two_c
         i_entries[::5] += diag  # the diagonal rows 0, 5, 10, 15
@@ -603,42 +604,25 @@ def i_square_terms(i_entries, w_ff, w_fo, w_oo):
 def i_square_peak(terms):
     """max |I^2 + Id| over the :func:`i_square_terms` of one fiber (of their
     own type) or of a grid block (a float, taken in place); a NaN anywhere
-    gives NaN."""
+    gives NaN.  It depends on the frame, so no verdict reads it."""
     if isinstance(terms, np.ndarray):
         return float(np.abs(terms, out=terms).max())
     return max_abs(terms)
 
 
-def fiber_residuals(omega: Form2, basis, fc, oc, tol):
-    """F^F, F^omega, omega^omega and the 16 entries of I^2 + Id
-    (:func:`i_square_terms`) at the fibers of one block, before any
-    reduction.
-
-    ``fc`` and ``oc`` hold the six coefficients of F and of the constant
-    omega: exact or float scalars at one fiber, or rows with one entry per
-    fiber.  I's entries are ``basis.T @ fc`` on a grid block of
-    :func:`fiber_blocks` (``basis`` from i_basis) and those of compose_i
-    otherwise (``basis`` None), so (S,) arrays of S constant forms give each
-    form the bits of its own one-fiber residuals.  NonDegenerateRequired
-    when compose_i is reached and omega fails ``check_omega`` at tol.
+def check_i_square(w_ff, w_fo, w_oo, tol):
+    """Raise NotPointwiseBrane unless max(|2c|, |1 - r|) of a block's wedges
+    (:func:`_pencil_terms`) is at most max(tol, 1e-9): the one I^2 = -Id
+    guard of the checks that need a complex structure.  The two scalars do
+    not depend on the frame, and the wedges passing a brane verdict bound
+    them by tol.  The floor keeps rounding from refusing a brane at tol 0.
+    A NaN fails.
     """
-    w_ff, w_fo, w_oo = wedge(fc, fc), wedge(fc, oc), wedge(oc, oc)
-    if basis is None:
-        entries = [e for row in compose_i(omega, Form2.from_coeffs(fc), tol).m for e in row]
-    else:
-        entries = basis.T @ fc
-    return w_ff, w_fo, w_oo, i_square_terms(entries, w_ff, w_fo, w_oo)
-
-
-def check_i_square(terms, tol):
-    """Raise NotPointwiseBrane unless the :func:`i_square_peak` of a block's
-    :func:`i_square_terms` is at most max(tol, 1e-9): the one I^2 = -Id
-    guard of the checks that need a complex structure.  The floor keeps
-    rounding in I from refusing a brane at tol 0.  A NaN fails.
-    """
-    peak, bound = i_square_peak(terms), max(tol, 1e-9)
+    terms, bound = _pencil_terms(w_ff, w_fo, w_oo), max(tol, 1e-9)
+    peak = max_abs(np.abs(t).max() if isinstance(t, np.ndarray) else t for t in terms)
     if not peak <= bound:
-        raise NotPointwiseBrane(f"I^2 + Id has max entry {float(peak):.3e} > {bound:.1e}")
+        raise NotPointwiseBrane(f"I^2 + Id = 2c I + (1 - r) Id has max(|2c|, |1 - r|) "
+                                f"{float(peak):.3e} > {bound:.1e}")
 
 
 def _nijenhuis_tensor(i_mats, d_i):
@@ -695,6 +679,7 @@ def nijenhuis_defect(omega: Form2, f, grid: int = 8, tol: float = 1e-9):
     f = as_trig(f)
     basis = i_basis(omega, tol)
     omega_rows = [float(v) for v in omega.coeffs]
+    w_oo = wedge(omega_rows, omega_rows)
     table_t = _nijenhuis_table(basis).T
     # OpenBLAS splits a product whose M*N*K passes 4 * 65536 over threads;
     # contracted in column slices below that, the table stays on this thread
@@ -705,7 +690,7 @@ def nijenhuis_defect(omega: Form2, f, grid: int = 8, tol: float = 1e-9):
         # (slots, n) float rows; a constant (zero) partial is (6, 1) and broadcasts
         fc, *d_f, d_form = (np.asarray(r, dtype=float).reshape(len(r), -1) for r in rows)
         dfs.append(np.abs(d_form).max())
-        check_i_square(fiber_residuals(omega, basis, fc, omega_rows, tol)[3], tol)
+        check_i_square(wedge(fc, fc), wedge(fc, omega_rows), w_oo, tol)
         prod = np.empty((6, 4, 6, fc.shape[1]))  # F_p (d_m F)_q at [p, m, q]
         for m, d in enumerate(d_f):
             np.multiply(fc[:, None], d, out=prod[:, m])
@@ -736,7 +721,8 @@ def integrability_identity_residual(
     basis = i_basis(omega, tol)
     coeff = f.eval_grid(np.asarray(x, dtype=float) + steps)
     omega_rows = [float(v) for v in omega.coeffs]
-    check_i_square(fiber_residuals(omega, basis, coeff[:1].T, omega_rows, tol)[3], tol)
+    check_i_square(wedge(coeff[0], coeff[0]), wedge(coeff[0], omega_rows),
+                   wedge(omega_rows, omega_rows), tol)
     i_mats = (coeff @ basis).reshape(-1, 4, 4)
     d_i = (i_mats[1:5] - i_mats[5:]) / (2.0 * h)
     n_tensor = _nijenhuis_tensor(i_mats[:1], d_i[:, None])[0]

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from branekit import brane_check, exterior4, torus_forms
 from branekit.brane_check import (
-    brane_of_complex_structure,
     deformation_residuals,
     equivalence_check,
     linearized_deformation_check,
@@ -21,7 +20,7 @@ from branekit.brane_check import (
     verify_holomorphic_symplectic,
 )
 from branekit.cohomology import class_of_constant_form, constant_form_of_class, torus_space
-from branekit.errors import BranekitError, NonDegenerateRequired, NotAlmostComplex, NotSkew
+from branekit.errors import BranekitError, NonDegenerateRequired, NotAlmostComplex
 from branekit.exterior4 import (
     Form2,
     LinearMap4,
@@ -148,37 +147,6 @@ class TestEquivalence:
             f = random_form2(rng)
             assert equivalence_check(omega, f)
             checked += 1
-
-
-class TestBraneOfComplexStructure:
-    def test_inverse_of_compose(self):
-        i0 = compose_i(W0, F0)
-        assert brane_of_complex_structure(W0, i0) == Form2.from_coeffs(
-            tuple(Fraction(c) for c in F0.coeffs)
-        )
-
-    def test_round_trip_through_kahler_partner(self):
-        ik = compose_i(W0, KAPPA)
-        assert brane_of_complex_structure(W0, ik) == Form2.from_coeffs(
-            tuple(Fraction(c) for c in KAPPA.coeffs)
-        )
-
-    def test_identity_is_rejected_as_not_complex(self):
-        with pytest.raises(NotAlmostComplex):
-            brane_of_complex_structure(W0, LinearMap4.identity())
-
-    def test_skewness_violation_detected(self):
-        i0 = compose_i(W0, F0)
-        with pytest.raises(NotSkew):
-            brane_of_complex_structure(Form2(c13=1), i0)
-
-    def test_round_trip_on_random_brane_pairs(self):
-        rng = np.random.default_rng(13)
-        for _ in range(20):
-            omega, f, _ = random_brane_pair(rng)
-            i = compose_i(omega, f)
-            back = brane_of_complex_structure(omega, i)
-            assert all(Fraction(a) == b for a, b in zip(f.coeffs, back.coeffs))
 
 
 def _quadric_solution_alphas(count, seed):
@@ -359,8 +327,8 @@ class TestFiberWalk:
         _, rot = brane_field((1, 0, 0, 0), R_234)  # frequency rank 4
         alpha = _closed_11(TrigPolyFn.mode((1, 0, 2, 0), cos=1))
         verify_brane(W0, rot)  # 5 blocks
-        linearized_deformation_check(W0, rot, alpha)
-        assert len(built) == 2
+        linearized_deformation_check(W0, rot, alpha)  # its guard reads the wedges
+        assert len(built) == 1
         # one fiber: exact compose_i, no basis
         built.clear()
         assert verify_brane(W0, F0).i_square_resid == 0

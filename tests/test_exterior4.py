@@ -39,7 +39,6 @@ from branekit.torus_forms import (
     standard_kahler,
     standard_symplectic,
     uniform_grid,
-    wedge_density,
 )
 
 from conftest import random_brane_pair, random_form2
@@ -106,7 +105,6 @@ class TestWedge:
         pointwise = [wedge22(eval_at(ta, x), eval_at(tb, x)).v for x in pts]
         assert np.allclose(rows, pointwise, rtol=1e-12, atol=1e-12)
         density = wedge(ta.c, tb.c)
-        assert density == wedge_density(ta, tb)
         assert np.allclose(density.eval_grid(pts), rows, rtol=1e-12, atol=1e-12)
 
     @given(form2s, form2s, form2s, ints)

@@ -89,10 +89,15 @@ class TestOrder:
 
     def test_the_i_square_guard_is_one_error_type(self):
         assert issubclass(NotPointwiseBrane, NotAlmostComplex)
-        for check in (lambda: nijenhuis_defect(W0, Form2(c12=1), grid=2),
-                      lambda: linearized_deformation_check(W0, Form2(c12=1), Form2())):
-            with pytest.raises(NotPointwiseBrane, match=r"> 1\.0e-09"):
-                check()
+        # F = lam omega makes I = lam Id, so |2c| = 2 |lam| is not 0; a NaN
+        # coefficient never passes
+        fields = [Form2(c12=1), Form2(c13=float("nan"), c24=-1.0)] + [
+            lam * W0 for lam in (1, -1, 2)]
+        for f in fields:
+            for check in (lambda: nijenhuis_defect(W0, f, grid=2),
+                          lambda: linearized_deformation_check(W0, f, Form2())):
+                with pytest.raises(NotPointwiseBrane, match=r"> 1\.0e-09"):
+                    check()
 
     @pytest.mark.parametrize("grid", [0, -2])
     def test_grid_below_one_is_refused_for_constant_inputs(self, grid):

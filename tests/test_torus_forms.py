@@ -1,4 +1,4 @@
-"""Trig-poly forms: exact calculus, integration, and the integrability
+"""Trig-poly forms: exact calculus, evaluation, and the integrability
 diagnostics with their finite-difference cross-checks."""
 
 import itertools
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from branekit import torus_forms
 from branekit.errors import NotPointwiseBrane, WalkTooLarge
-from branekit.exterior4 import Form2, matrix_of_form2, pfaffian
+from branekit.exterior4 import Form2, matrix_of_form2, pfaffian, wedge
 from branekit.torus_forms import (
     TRIVECTOR_SLOTS,
     TrigPolyFn,
@@ -25,14 +25,12 @@ from branekit.torus_forms import (
     fiber_blocks,
     i_basis,
     integrability_identity_residual,
-    integrate,
     nijenhuis_defect,
     rotation_family,
     standard_brane,
     standard_kahler,
     standard_symplectic,
     uniform_grid,
-    wedge_density,
 )
 
 from conftest import R_234, brane_field, random_brane_field, trig_polys
@@ -177,19 +175,6 @@ class TestEvalIntegrate:
         assert eval_at(f, (0.0, 0.0, 0.0, 0.0)).c23 == 1.0
         assert abs(eval_at(f, (math.pi / 2, 0.0, 0.0, 0.0)).c23) <= 1e-12
 
-    def test_integrate_values(self):
-        vol = (2 * math.pi) ** 4
-        assert integrate(TrigPolyFn.constant(1)) == vol
-        assert integrate(TrigPolyFn.mode((1, 0, 0, 0), cos=1)) == 0.0
-        assert integrate(TrigPolyFn.constant(3) + TrigPolyFn.mode((0, 2, 0, 0), cos=1)) == 3 * vol
-
-    @given(fns)
-    def test_integrate_matches_riemann_sum(self, f):
-        # the uniform rectangle rule is exact for band-limited integrands
-        pts = uniform_grid(6)
-        riemann = f.eval_grid(pts).mean() * (2 * math.pi) ** 4
-        assert abs(integrate(f) - riemann) <= 1e-8 * max(1.0, f.coefficient_norm())
-
     @given(st.tuples(*([st.integers(min_value=-3, max_value=3)] * 12)))
     def test_wedge_density_integral_of_constant_forms_is_pairing(self, coeffs):
         # for constant forms, the normalised integral of the wedge density
@@ -199,9 +184,7 @@ class TestEvalIntegrate:
 
         a = Form2.from_coeffs(coeffs[:6])
         b = Form2.from_coeffs(coeffs[6:])
-        density = wedge_density(
-            TrigPolyForm2.from_constant(a), TrigPolyForm2.from_constant(b)
-        )
+        density = wedge(TrigPolyForm2.from_constant(a).c, TrigPolyForm2.from_constant(b).c)
         assert density.constant_term == wedge22(a, b).v
         assert density.constant_term == class_of_constant_form(a).pair(
             class_of_constant_form(b)
@@ -444,8 +427,8 @@ class TestFiberBlocks:
 class TestRotationFamily:
     def test_pointwise_wedge_identities_exact(self):
         rot = rotation_family((1, 0, 0, 0))
-        assert wedge_density(rot, rot) == TrigPolyFn.constant(Fraction(2))
-        assert wedge_density(rot, TrigPolyForm2.from_constant(W0)) == TrigPolyFn.zero()
+        assert wedge(rot.c, rot.c) == TrigPolyFn.constant(Fraction(2))
+        assert wedge(rot.c, TrigPolyForm2.from_constant(W0).c) == TrigPolyFn.zero()
 
     def test_exterior_derivative_matches_hand_expansion(self):
         # d(cos x1 F0 + sin x1 kappa) = sin x1 e^{124} + cos x1 e^{134}

@@ -1,6 +1,8 @@
 """One scale for every verdict: tol is read in the unit u = |pf(omega)|, so
 rescaling (omega, F) does not change a verdict, and neither does relabelling
-the coordinates by a signed permutation of determinant +1."""
+the coordinates by a signed permutation of determinant +1 or pulling a
+constant pair back by an integer map: I^2 = -Id is read from the wedges,
+not from the entries of I^2 + Id."""
 
 import json
 import math
@@ -12,14 +14,17 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from branekit.brane_check import verify_brane, verify_holomorphic_symplectic
+from branekit.brane_check import (constant_branes_pass, linearized_deformation_check,
+                                  verify_brane, verify_holomorphic_symplectic)
 from branekit.cli import main
 from branekit.cohomology import class_of_constant_form, torus_space
-from branekit.exterior4 import BIVECTOR_SLOTS, Form2, LinearMap4, pfaffian, pullback_form2
+from branekit.errors import BranekitError, NotPointwiseBrane
+from branekit.exterior4 import (BIVECTOR_SLOTS, Form2, LinearMap4, pfaffian, pullback_form2,
+                                wedge)
 from branekit.period_domain import QuadricSpec, quadric_contains
-from branekit.torus_forms import TrigPolyFn, standard_brane, standard_symplectic
+from branekit.torus_forms import TrigPolyFn, nijenhuis_defect, standard_brane, standard_symplectic
 
-from conftest import brane_field, random_brane_pair
+from conftest import brane_field, random_brane_pair, random_int_gl4
 
 W0 = standard_symplectic()
 F0 = standard_brane()
@@ -226,3 +231,70 @@ class TestSignedPermutation:
             assert nij_got is None
         else:
             _assert_same_verdicts(nij_got, nij_want)
+
+
+#: det-1 integer maps: pulled back by them, F0 + 4e-10 e^{14} keeps its wedge
+#: residuals at 4e-10 while the largest entry of I^2 + Id grows to 6.4e-7
+#: and 3.6e-7
+SHEARS = (LinearMap4.from_rows([[1, 7, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 40, 1]]),
+          LinearMap4.from_rows([[1, 30, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]))
+
+
+def _outcomes(omega, f):
+    """The verdict, or the refusal, of every check of a constant pair."""
+    def outcome(check):
+        try:
+            return check()
+        except BranekitError as exc:
+            return type(exc)
+
+    stacked = tuple(np.full(2, float(c)) for c in f.coeffs)
+    report = verify_brane(omega, f)
+    return (report.passed, report.hol_symp.passed,
+            bool(constant_branes_pass(omega, stacked).all()),
+            outcome(lambda: nijenhuis_defect(omega, f) == (0.0, 0.0)),
+            outcome(lambda: linearized_deformation_check(omega, f, Form2())))
+
+
+def _pulled_back(p, *forms):
+    return tuple(pullback_form2(p, form) for form in forms)
+
+
+class TestFrames:
+    @pytest.mark.parametrize("bump, want", [
+        (4e-10, (True, True, True, True, True)),
+        (1e-6, (False, False, False, NotPointwiseBrane, NotPointwiseBrane)),
+    ])
+    def test_a_sheared_pair_keeps_every_verdict(self, bump, want):
+        pairs = [(W0, F0 + Form2(c14=bump))]
+        pairs += [_pulled_back(p, *pairs[0]) for p in SHEARS]
+        assert [_outcomes(omega, f) for omega, f in pairs] == [want] * 3
+
+    def test_i_square_resid_stays_the_frame_dependent_max_norm(self):
+        pair = (W0, F0 + Form2(c14=4e-10))
+        got = [verify_brane(omega, f).i_square_resid
+               for omega, f in [pair] + [_pulled_back(p, *pair) for p in SHEARS]]
+        assert got == pytest.approx([4e-10, 6.404e-7, 3.604e-7], rel=1e-3)
+
+    @pytest.mark.parametrize("p", SHEARS)
+    def test_nijenhuis_accepts_the_sheared_pair(self, p):
+        omega, f = _pulled_back(p, W0, F0 + Form2(c14=4e-10))
+        code, report = _run("nijenhuis", _constant_doc(omega), _constant_doc(f))
+        assert code == 0 and report["integrable_iff_closed"] is True
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           direction=st.lists(st.floats(-1, 1), min_size=6, max_size=6),
+           log_size=st.sampled_from([-1.5, 1.5]))
+    def test_integer_pullbacks_keep_every_verdict(self, seed, direction, log_size):
+        """(omega0, F0 + step * direction) with residuals about 10^log_size
+        times tol, at least a factor 10 away from tol, has the outcomes of
+        its pullback by a random integer map of positive determinant, whose
+        entries up to 6 make the largest entry of I^2 + Id grow by up to
+        about 100."""
+        tol = 1e-9
+        f = F0 + Form2.from_coeffs(tuple(10.0 ** log_size * tol * d for d in direction))
+        w = [float(v) for v in W0.coeffs]
+        resid = max(abs(wedge(f.coeffs, f.coeffs) - wedge(w, w)), abs(wedge(f.coeffs, w)))
+        assume(not 0.1 * tol <= resid <= 10 * tol)  # |pf(omega0)| = 1
+        p = random_int_gl4(np.random.default_rng(seed), bound=6)
+        assert _outcomes(*_pulled_back(p, W0, f)) == _outcomes(W0, f)
