@@ -184,15 +184,45 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
-def _finish_report(report, args):
+def _finish_report(report, args, samples=()):
+    """Stamp, encode and emit a report.  The text of ``samples``, the rows
+    of a quadric report, takes the place of the report's empty list under
+    ``"samples"``; every other value is encoded by ``json.dumps``."""
     report.update(version=1, command=args.command)
     if not getattr(args, "no_timestamp", False):
         report["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     try:
         text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+        if samples:
+            # a top-level key is the only text after a newline and two spaces
+            text = text.replace('\n  "samples": []', '\n  "samples": ' + _quadric_rows(samples), 1)
     except ValueError as exc:
         raise BranekitError(f"report holds a non-finite number ({exc})") from exc
     _emit(text + "\n", args.out)
+
+
+def _quadric_rows(samples):
+    """The text of the ``samples`` list of a quadric report, the bytes
+    ``json.dumps(report, indent=2, sort_keys=True, allow_nan=False)`` gives
+    it, from one template for the row shape every sample of one chart has:
+    class, form, pass, theta, ybar.  Numbers are written as ``json`` writes
+    them; ValueError on a NaN or an infinity, as ``json.dumps`` refuses it."""
+    first = samples[0]
+    # json lays the row out, null for every number; no key holds "null" or "%"
+    shape = {"class": [None] * len(first.cls.coeffs), "form": dict.fromkeys(_SLOT_KEYS),
+             "pass": None, "theta": None, "ybar": [None] * len(first.ybar)}
+    row = json.dumps(shape, indent=2, sort_keys=True).replace("null", "%s").replace("\n", "\n    ")
+    rows = []
+    for sample in samples:
+        # _SLOT_KEYS is sorted, so the form's values come in sort_keys order
+        values = (*sample.cls.coeffs, *sample.form.coeffs, sample.passed, sample.theta,
+                  *sample.ybar)
+        text = [float.__repr__(v) if type(v) is float else json.dumps(v, allow_nan=False)
+                for v in values]
+        if "nan" in text or "inf" in text or "-inf" in text:
+            raise ValueError("Out of range float values are not JSON compliant")
+        rows.append(row % tuple(text))
+    return "[\n    " + ",\n    ".join(rows) + "\n  ]"
 
 
 def _report_dict(rep, *skip):
@@ -253,25 +283,16 @@ def cmd_quadric(args):
     # a row reports theta, ybar, the class and the six form coefficients
     numbers = 1 + len(chart.neg) + chart.spec.space.dim + 6
     draws = _chart_draws(chart, args.seed, args.samples, _NUMBER_BYTES * numbers)
-    rows = [
-        {
-            "theta": sample.theta,
-            "ybar": list(sample.ybar),
-            "class": list(sample.cls.coeffs),
-            "form": dict(zip(_SLOT_KEYS, sample.form.coeffs)),
-            "pass": sample.passed,
-        }
-        for sample in quadric_sweep(chart, draws, tol=max(args.tol, 1e-12))
-    ]
-    all_pass = all(row["pass"] for row in rows)
+    samples = quadric_sweep(chart, draws, tol=max(args.tol, 1e-12))
+    all_pass = all(sample.passed for sample in samples)
     report = {
         "inputs": {"omega": args.omega_file, "base": args.base_file},
         "seed": args.seed,
         "tolerances": {"tol": args.tol},
-        "samples": rows,
+        "samples": [],
         "pass": all_pass,
     }
-    _finish_report(report, args)
+    _finish_report(report, args, samples)
     return 0 if all_pass else 1
 
 

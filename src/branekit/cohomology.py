@@ -19,8 +19,9 @@ dx1^dy1^dx2^dy2 normalised to 1.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from math import gcd, isqrt, lcm
+from functools import cache, cached_property
+from itertools import chain, combinations, tee
+from math import gcd, isfinite, isqrt, lcm
 from typing import NamedTuple
 
 import numpy as np
@@ -41,7 +42,8 @@ class IntersectionSpace:
 
     ``sparse_rows[i]`` holds the nonzero entries ``(j, pairing[i][j])`` of
     row i in column order.  It is derived from ``pairing`` once, here, and
-    takes no part in equality, hashing or the repr.
+    takes no part in equality, hashing or the repr; nor do the
+    ``candidates``, which belong to this one space object.
     """
 
     name: str
@@ -52,6 +54,21 @@ class IntersectionSpace:
     def __post_init__(self):
         rows = tuple(tuple((j, p) for j, p in enumerate(row) if p != 0) for row in self.pairing)
         object.__setattr__(self, "sparse_rows", rows)
+
+    @cached_property
+    def candidates(self):
+        """The standard candidates of the chart search, as int classes:
+        basis vectors, then pairwise sums, then pairwise differences.
+
+        An iterator that is never advanced: every ``copy`` of it yields the
+        candidates from the first, and each is made once per space, when a
+        copy first reaches it (the copies share one ``tee`` buffer, so two
+        threads may not advance copies at once).
+        """
+        singles = standard_basis(self)
+        pairs = list(combinations(range(self.dim), 2))
+        return tee(chain(singles, (singles[i] + singles[j] for i, j in pairs),
+                         (singles[i] - singles[j] for i, j in pairs)), 1)[0]
 
 
 class _Rational(NamedTuple):
@@ -75,7 +92,11 @@ class _Rational(NamedTuple):
 def _pair_numerator(x: _Rational, y: _Rational, rows):
     """x.y times x.den * y.den, over x's nonzero entries."""
     ny = y.nums
-    return sum(xi * p * ny[j] for i, xi in x.support for j, p in rows[i])
+    total = 0  # a plain loop: faster than sum() over the few terms of a class
+    for i, xi in x.support:
+        for j, p in rows[i]:
+            total += xi * p * ny[j]
+    return total
 
 
 def _minus_projection(v: _Rational, w: _Rational, w_sq, rows):
@@ -198,16 +219,20 @@ _TORUS_REPRESENTATIVES = (
 )
 
 
+@cache
 def torus_space() -> IntersectionSpace:
     """The 6-dimensional torus model, pairing computed from the wedge of
-    the basis representatives (three hyperbolic planes)."""
+    the basis representatives (three hyperbolic planes); one object per
+    process, built on the first call."""
     reps = _TORUS_REPRESENTATIVES
     pairing = tuple(tuple(wedge22(a, b).v for b in reps) for a in reps)
     return IntersectionSpace("t4", 6, pairing)
 
 
+@cache
 def k3_space() -> IntersectionSpace:
-    """The diagonal signature (3, 19) model of the K3 second cohomology."""
+    """The diagonal signature (3, 19) model of the K3 second cohomology; one
+    object per process, built on the first call."""
     diag = [1, 1, 1] + [-1] * 19
     pairing = tuple(
         tuple(diag[i] if i == j else 0 for j in range(22)) for i in range(22)
@@ -294,20 +319,56 @@ def project_off(v: CohClass, basis):
     exact: ``Fraction op float`` computes ``float(q) op float``, and
     ``float(q)`` is q correctly rounded.
     """
-    rows = v.space.sparse_rows
-    exact = v._rational  # v's value while it stays exact; v may lag behind
-    for w, w_sq in basis:
-        if exact is not None and w._rational is not None and is_exact(w_sq):
-            if w.space is not v.space and w.space != v.space:
-                raise SpaceMismatch("classes live in different spaces")
-            exact = _minus_projection(exact, w._rational, w_sq, rows)
-            continue
-        v = _class_of(v, exact)
-        coef = v.pair(w)
-        if coef != 0:
-            v = v - exact_div(coef, w_sq) * w
-            exact = v._rational
-    return _class_of(v, exact)
+    return _Projection(v).extend(basis).cls()
+
+
+class _Projection:
+    """The state of :func:`project_off` between its steps, so a projection
+    can be extended by more pairs later: ``exact`` is the value while it
+    stays exact, else None, and the class ``v`` lags behind it until
+    :meth:`cls` is asked."""
+
+    __slots__ = ("v", "exact")
+
+    def __init__(self, v: CohClass):
+        self.v, self.exact = v, v._rational
+
+    def extend(self, basis):
+        """Take the steps of project_off along ``basis``; returns self."""
+        space = self.v.space
+        for w, w_sq in basis:
+            if self.exact is not None and w._rational is not None and is_exact(w_sq):
+                if w.space is not space and w.space != space:
+                    raise SpaceMismatch("classes live in different spaces")
+                self.exact = _minus_projection(self.exact, w._rational, w_sq, space.sparse_rows)
+                continue
+            coef = self.cls().pair(w)
+            if coef != 0:
+                self.v = self.v - exact_div(coef, w_sq) * w
+                self.exact = self.v._rational
+        return self
+
+    def square_sign(self, bound) -> int:
+        """The sign of u.u - bound for the projection u, as its pairing
+        compares with the float ``bound``.  While u is exact it is decided
+        on the numerators, as Python compares a Fraction with a float:
+        exactly when bound is finite, as 0.0 against it when not."""
+        exact = self.exact
+        if exact is None:
+            sq = self.v.pair(self.v)
+        elif isfinite(bound):
+            p, q = bound.as_integer_ratio()
+            sq = _pair_numerator(exact, exact, self.v.space.sparse_rows) * q
+            bound = p * exact.den * exact.den
+        else:
+            sq = 0.0
+        return (sq > bound) - (sq < bound)
+
+    def cls(self) -> CohClass:
+        """The projection as a class: v itself while v is up to date, else
+        a class of Fraction coefficients made from the numerators, once."""
+        self.v = _class_of(self.v, self.exact)
+        return self.v
 
 
 def _class_of(v: CohClass, exact):

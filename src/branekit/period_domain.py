@@ -16,8 +16,8 @@ compared against it.
 """
 
 import math
+from copy import copy
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -25,12 +25,11 @@ from .brane_check import constant_branes_pass, verify_brane
 from .cohomology import (
     CohClass,
     IntersectionSpace,
+    _Projection,
     constant_form_of_class,
     indefinite_gram_schmidt,
     nullspace_exact,
-    project_off,
     signature,
-    standard_basis,
     torus_space,
 )
 from .errors import (
@@ -107,30 +106,27 @@ class QuadricChart:
 
 
 def _standard_candidates(space: IntersectionSpace):
-    """Deterministic candidates, built lazily: basis vectors, then pairwise
-    sums, then pairwise differences."""
-    singles = standard_basis(space)
-    yield from singles
-    for i, j in combinations(range(space.dim), 2):
-        yield singles[i] + singles[j]
-    for i, j in combinations(range(space.dim), 2):
-        yield singles[i] - singles[j]
+    """Deterministic candidates, made lazily and once per space: basis
+    vectors, then pairwise sums, then pairwise differences."""
+    return copy(space.candidates)
 
 
 class _Projections:
     """The standard candidates, each projected off the accepted (w, w.w)
     pairs as the list stands when the candidate is reached.
 
-    Every pass (``iter``) starts again at the first candidate.  A candidate
-    keeps its partial projection and is extended only by the vectors
-    accepted since: project_off(project_off(c, A), B) runs the same steps as
-    project_off(c, A + B), so every coefficient keeps its value, type and
-    bits while no candidate is projected off a vector twice.
+    Every pass (``iter``) starts again at the first candidate and yields
+    each as a ``_Projection``.  A candidate keeps its partial projection
+    and is extended only by the vectors accepted since, with the steps
+    project_off(c, A + B) runs, so every coefficient keeps its value, type
+    and bits while no candidate is projected off a vector twice.  While a
+    candidate and every accepted vector are exact it stays on integer
+    numerators; its Fractions are made only when its class is asked for.
     """
 
     def __init__(self, space: IntersectionSpace, accepted: list):
         self._source = _standard_candidates(space)
-        self._done = []  # [candidate projected off accepted[:count], count]
+        self._done = []  # [projection off accepted[:count], count]
         self._accepted = accepted
 
     def __iter__(self):
@@ -141,10 +137,10 @@ class _Projections:
                 cand = next(self._source, None)
                 if cand is None:
                     return
-                self._done.append([cand, 0])
+                self._done.append([_Projection(cand), 0])
             entry = self._done[i]
             if entry[1] < len(accepted):
-                entry[0] = project_off(entry[0], accepted[entry[1]:])
+                entry[0].extend(accepted[entry[1]:])
                 entry[1] = len(accepted)
             yield entry[0]
             i += 1
@@ -166,6 +162,7 @@ def _positive_direction(q, projections, tol_eff):
         u = next(passes, None)
         if u is None:
             break
+        u = u.cls()
         stacked = np.vstack([coords, u.array()])
         if not np.isfinite(stacked).all():  # LAPACK fails on NaN or inf
             raise NonFiniteMatrix("a chart candidate is beyond the float range")
@@ -206,8 +203,8 @@ def build_chart(q: QuadricSpec, base: CohClass, tol: float = 1e-9) -> QuadricCha
 
     b = None
     for u in projections:
-        if u.pair(u) > tol_eff:
-            b = indefinite_gram_schmidt([u], [s], tol=tol_eff)[0]
+        if u.square_sign(tol_eff) > 0:
+            b = indefinite_gram_schmidt([u.cls()], [s], tol=tol_eff)[0]
             break
     if b is None:
         u = _positive_direction(q, projections, tol_eff)
@@ -221,8 +218,8 @@ def build_chart(q: QuadricSpec, base: CohClass, tol: float = 1e-9) -> QuadricCha
         u = next(passes, None)
         if u is None:
             break
-        if u.pair(u) < -tol_eff:
-            n = indefinite_gram_schmidt([u], [-s], tol=tol_eff)[0]
+        if u.square_sign(-tol_eff) < 0:
+            n = indefinite_gram_schmidt([u.cls()], [-s], tol=tol_eff)[0]
             neg.append(n)
             accepted.append((n, -s))
     if len(neg) != want:

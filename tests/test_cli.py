@@ -1,7 +1,9 @@
 """Command-line surface: schemas, exit codes, determinism."""
 
+import argparse
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -22,6 +24,10 @@ from hypothesis import strategies as st
 import branekit
 from branekit import brane_check, cli, torus_forms
 from branekit.cli import main
+from branekit.cohomology import CohClass, torus_space
+from branekit.errors import BranekitError
+from branekit.exterior4 import Form2
+from branekit.period_domain import QuadricSample
 from branekit.torus_forms import TrigPolyFn, TrigPolyForm2
 
 ZEROS = {"12": 0, "13": 0, "14": 0, "23": 0, "24": 0, "34": 0}
@@ -142,6 +148,92 @@ class TestQuadric:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+#: any finite float, with the ones whose text is easy to get wrong
+row_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e16, 1e-5, 1.0, -3.0, 2.0 ** 53, 1e22]),
+)
+
+
+@st.composite
+def quadric_samples(draw):
+    """0 to 40 quadric samples with random numbers in every field."""
+    def numbers(n):
+        return tuple(draw(st.lists(row_floats, min_size=n, max_size=n)))
+
+    return [
+        QuadricSample(draw(row_floats), numbers(3), CohClass(torus_space(), numbers(6)),
+                      Form2.from_coeffs(numbers(6)), draw(st.booleans()))
+        for _ in range(draw(st.integers(min_value=0, max_value=40)))
+    ]
+
+
+def quadric_report(samples):
+    """The report of ``samples`` through ``_finish_report``, as stdout text."""
+    report = {"inputs": {"omega": "o.json", "base": "b.json"}, "seed": 7,
+              "tolerances": {"tol": 1e-9}, "samples": [], "pass": True}
+    args = argparse.Namespace(command="quadric", no_timestamp=True, out=None)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._finish_report(report, args, samples)
+    return out.getvalue()
+
+
+def _with_non_finite(sample, field, bad):
+    if field == "theta":
+        return dataclasses.replace(sample, theta=bad)
+    if field == "ybar":
+        return dataclasses.replace(sample, ybar=sample.ybar[:-1] + (bad,))
+    if field == "class":
+        return dataclasses.replace(sample, cls=CohClass(sample.cls.space,
+                                                        (bad,) + sample.cls.coeffs[1:]))
+    return dataclasses.replace(sample, form=Form2.from_coeffs(sample.form.coeffs[:-1] + (bad,)))
+
+
+class TestQuadricRows:
+    @given(quadric_samples())
+    def test_rows_are_the_bytes_of_json_dumps(self, samples):
+        rows = [{"theta": s.theta, "ybar": list(s.ybar), "class": list(s.cls.coeffs),
+                 "form": dict(zip(cli._SLOT_KEYS, s.form.coeffs)), "pass": s.passed}
+                for s in samples]
+        want = {"inputs": {"omega": "o.json", "base": "b.json"}, "seed": 7,
+                "tolerances": {"tol": 1e-9}, "samples": rows, "pass": True,
+                "version": 1, "command": "quadric"}
+        assert quadric_report(samples) == json.dumps(
+            want, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+    def test_zero_samples_write_an_empty_list(self, omega_file, f0_file, capsys):
+        assert main(["quadric", omega_file, f0_file, "--samples", "0", "--no-timestamp"]) == 0
+        assert '\n  "samples": [],\n' in capsys.readouterr().out
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["theta", "ybar", "class", "form"])
+    def test_a_non_finite_number_is_refused(self, field, bad):
+        sample = QuadricSample(0.5, (1.0, 2.0, 3.0), CohClass(torus_space(), (1.0,) * 6),
+                               Form2.from_coeffs((1.0,) * 6), True)
+        with pytest.raises(BranekitError, match="non-finite"):
+            quadric_report([sample, _with_non_finite(sample, field, bad)])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_a_non_finite_row_exits_2_and_writes_nothing(self, omega_file, f0_file, tmp_path,
+                                                        monkeypatch, capsys, bad):
+        sweep = cli.quadric_sweep
+
+        def broken(*args, **kw):
+            samples = sweep(*args, **kw)
+            return samples[:-1] + [_with_non_finite(samples[-1], "theta", bad)]
+
+        monkeypatch.setattr(cli, "quadric_sweep", broken)
+        out = tmp_path / "never.json"
+        args = ["quadric", omega_file, f0_file, "--samples", "5", "--no-timestamp"]
+        assert main(args + ["--out", str(out)]) == 2
+        assert not out.exists()
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite" in captured.err
 
 
 class TestMetric:

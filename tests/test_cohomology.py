@@ -13,11 +13,13 @@ from branekit import period_domain
 from branekit.cohomology import (
     CohClass,
     IntersectionSpace,
+    _Projection,
     class_of_constant_form,
     constant_form_of_class,
     indefinite_gram_schmidt,
     k3_space,
     nullspace_exact,
+    project_off,
     signature,
     standard_basis,
     torus_space,
@@ -348,3 +350,27 @@ class TestSparsePairing:
         for a, b in [(sparse.b, dense.b), *zip(sparse.neg, dense.neg)]:
             assert [repr(v) for v in a.coeffs] == [repr(v) for v in b.coeffs]
         assert len(sparse.neg) == len(dense.neg) == 19
+
+
+# any float, zeros and the smallest subnormal included
+bounds = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 5e-324, -5e-324]))
+
+
+class TestExactSquareSign:
+    """An exact projection decides the sign of u.u against a float bound on
+    its integer numerators, as the pairing of its class compares with it."""
+
+    @given(st.one_of(spaces, dense_spaces()).flatmap(lambda sp: _classes(sp, exact_scalars)),
+           bounds, st.sampled_from([None, -1, 0, 1]))
+    def test_matches_the_pairing_of_the_projected_class(self, vw, bound, near):
+        v, w = vw
+        w_sq = w.pair(w)
+        basis = [(w, w_sq)] if w_sq else []
+        u = project_off(v, basis)
+        sq = u.pair(u)
+        if near is not None:  # the float of the square, or a neighbour of it
+            bound = math.nextafter(float(sq), near * math.inf) if near else float(sq)
+        projection = _Projection(v).extend(basis)
+        assert projection.exact is not None
+        for b in (bound, math.inf, -math.inf, math.nan):
+            assert projection.square_sign(b) == (sq > b) - (sq < b)

@@ -7,8 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from branekit import cohomology
 from branekit.cohomology import (
     CohClass,
+    IntersectionSpace,
     class_of_constant_form,
     k3_space,
     signature,
@@ -40,6 +42,7 @@ from branekit.period_domain import (
     torus_quadric_residuals,
 )
 from branekit.torus_forms import standard_brane, standard_kahler, standard_symplectic
+from test_chart_oracle import assert_same_chart
 
 SPACE = torus_space()
 K3 = k3_space()
@@ -141,6 +144,50 @@ class TestCandidates:
         lazy = _standard_candidates(space)
         assert next(lazy) == standard_basis(space)[0]  # an iterator, not a list
         assert [standard_basis(space)[0], *lazy] == _eager_candidates(space)
+
+    def test_the_bundled_spaces_are_process_wide_constants(self):
+        assert torus_space() is torus_space()
+        assert k3_space() is k3_space()
+
+    @pytest.mark.parametrize("space", [SPACE, K3], ids=lambda sp: sp.name)
+    def test_each_candidate_is_made_once_per_space(self, space):
+        first = list(_standard_candidates(space))
+        assert all(a is b for a, b in zip(first, _standard_candidates(space), strict=True))
+
+    @pytest.mark.parametrize("name, pairing, omega, base", [
+        # three hyperbolic planes in another order than the torus model's
+        ("t4", tuple(tuple(int(i + j == 5) for j in range(6)) for i in range(6)),
+         (1, 0, 0, 0, 0, 1), (0, 1, 0, 0, 1, 0)),
+        # the K3 signature with its positive entries last
+        ("k3", tuple(tuple((1 if i >= 19 else -1) * (i == j) for j in range(22)) for i in range(22)),
+         (0,) * 19 + (1, 0, 0), (2,) + (0,) * 19 + (1, 2)),
+    ])
+    def test_a_space_named_like_a_bundled_one_has_its_own_candidates(self, name, pairing,
+                                                                   omega, base):
+        bundled = {"t4": SPACE, "k3": K3}[name]
+        list(_standard_candidates(bundled))
+        space = IntersectionSpace(name, len(pairing), pairing)
+        assert space != bundled and space.candidates is not bundled.candidates
+        assert all(c.space is space for c in _standard_candidates(space))
+        q, base = QuadricSpec(space, CohClass(space, omega)), CohClass(space, base)
+        assert_same_chart(q, base)
+        assert build_chart(q, base).dim == len(pairing) - 2
+
+    def test_fractions_are_made_only_for_accepted_candidates(self, monkeypatch):
+        made = []
+        class_of = cohomology._class_of
+
+        def counting(v, exact):
+            out = class_of(v, exact)
+            if out is not v:
+                made.append(out)
+            return out
+
+        monkeypatch.setattr(cohomology, "_class_of", counting)
+        chart = boosted_k3_chart()
+        # one class for the one accepted candidate its projections changed; the
+        # candidates passed over stay on integer numerators
+        assert len(made) == 1 and chart.neg[0].coeffs[:6] == (-2, -2, 0, 0, 0, -3)
 
 
 class TestChartPoint:
