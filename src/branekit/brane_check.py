@@ -12,7 +12,9 @@ isotropic and closed.  The checks below report residuals for the two
 formulations; for constant forms everything is evaluated exactly (rational
 inputs stay rational), for trigonometric-polynomial forms the wedge
 residuals are maximised over a uniform grid while the exterior derivative
-is always exact.
+is always exact.  Each check states its per-block values and its verdict;
+the walk and its reduction are ``torus_forms.fold_walk``'s, and both
+reports read the one wedge block of :func:`_wedge_block`.
 """
 
 import math
@@ -23,7 +25,6 @@ import numpy as np
 from .exterior4 import (
     Form2,
     check_omega,
-    compose_i,
     exact_div,
     half,
     is_exact,
@@ -31,8 +32,8 @@ from .exterior4 import (
     omega_unit,
     wedge,
 )
-from .torus_forms import (check_i_square, constant_coeffs, exterior_d, fiber_blocks, i_basis,
-                          i_square_peak, i_square_terms)
+from .torus_forms import (check_i_square, exterior_d, fold_walk, i_entries, i_square_terms,
+                          walk_points)
 
 
 @dataclass(frozen=True)
@@ -79,47 +80,31 @@ def _closedness_resid(f):
     return 0 if isinstance(f, Form2) else exterior_d(f).coefficient_norm()
 
 
-def _peak(x):
-    """max |x| over a block: a float on the grid, of x's type at one fiber."""
-    return float(np.abs(x).max()) if isinstance(x, np.ndarray) else abs(x)
+def _wedge_block(rc, ic):
+    """One block's values for the report of re + i*im, from the samples
+    ``rc`` of re and ``ic`` of im: the peaks of re^re - im^im (the real
+    part of (re+i im)^(re+i im), whose imaginary part is 2 re^im), re^im
+    and im^im, and the lows of (re+i im)^(conjugate) = re^re + im^im and of
+    re^re."""
+    w_rr, w_ri, w_ii = wedge(rc, rc), wedge(rc, ic), wedge(ic, ic)
+    return [w_rr - w_ii, w_ri, w_ii], [w_rr + w_ii, w_rr]
 
 
-def _low(x):
-    """min x over a block, typed as in :func:`_peak`."""
-    return float(x.min()) if isinstance(x, np.ndarray) else x
-
-
-def _least(values):
-    """The smallest value; a NaN anywhere sorts first, so it gives NaN."""
-    return min(values, key=lambda v: (v == v, v))
-
-
-def _hol_symp_block(w_rr, w_ii, w_ri):
-    """One block's share of the holomorphic-symplectic report of re + i*im,
-    from its wedges re^re, im^im and re^im: the peaks of the real part
-    re^re - im^im and of the imaginary part 2 re^im of (re+i im)^(re+i im),
-    the least (re+i im)^(conjugate) = re^re + im^im, and the peak of
-    im^im."""
-    return _peak(w_rr - w_ii), _peak(2 * w_ri), _low(w_rr + w_ii), _peak(w_ii)
-
-
-def _hol_symp_report(blocks, closed, grid_used, tol) -> HolSympReport:
-    """The report of the :func:`_hol_symp_block` quadruples of a walk and
-    the closedness residuals ``closed`` of re and im.
+def _hol_symp_report(peaks, lows, closed, grid_used, tol) -> HolSympReport:
+    """The report of re + i*im from the :func:`_wedge_block` values folded
+    over a walk and the closedness residuals ``closed`` of re and im.
 
     The unit is u = peak |im^im| / 2, which is |pf(im)| for a constant im
     (:func:`omega_unit`): the real part meets tol * u and the imaginary
     part 2 re^im meets 2 tol * u, as F^F - omega^omega and F^omega do in
     the brane check; closedness meets tol * sqrt(u), and positivity must
     exceed tol * u everywhere.  A NaN fails."""
-    re_sq, im_sq = (max_abs(block[part] for block in blocks) for part in (0, 1))
-    square_resid = max_abs((re_sq, im_sq))
-    positivity_min = _least(block[2] for block in blocks)
+    # doubling is exact, so 2 max |re^im| is max |2 re^im| bit for bit
+    re_sq, im_sq, u = peaks[0], 2 * peaks[1], float(peaks[2]) / 2
     closed_resid = max_abs(closed)
-    u = float(max_abs(block[3] for block in blocks)) / 2
     passed = (re_sq <= tol * u and im_sq <= 2 * tol * u and closed_resid <= tol * math.sqrt(u)
-              and positivity_min > tol * u)
-    return HolSympReport(positivity_min, square_resid, closed_resid, passed, grid_used, tol)
+              and lows[0] > tol * u)
+    return HolSympReport(lows[0], max_abs((re_sq, im_sq)), closed_resid, passed, grid_used, tol)
 
 
 def _brane_passed(r_sq, r_orth, r_closed, orientation_ok, tol, u):
@@ -128,17 +113,6 @@ def _brane_passed(r_sq, r_orth, r_closed, orientation_ok, tol, u):
     residual fails."""
     return ((r_sq <= tol * u) & (r_orth <= tol * u) & (r_closed <= tol * math.sqrt(u))
             & orientation_ok)
-
-
-def _i_square_peak(omega, basis, fc, w_ff, w_fo, w_oo, tol):
-    """The report's max |I^2 + Id| over one block: I's entries are
-    ``basis.T @ fc`` on a grid block (``basis`` from i_basis) and the exact
-    ones of compose_i at one fiber (``basis`` None)."""
-    if basis is None:
-        entries = [e for row in compose_i(omega, Form2.from_coeffs(fc), tol).m for e in row]
-    else:
-        entries = basis.T @ fc
-    return i_square_peak(i_square_terms(entries, w_ff, w_fo, w_oo))
 
 
 def verify_brane(omega: Form2, f, grid: int = 8, tol: float = 1e-9) -> BraneReport:
@@ -153,27 +127,20 @@ def verify_brane(omega: Form2, f, grid: int = 8, tol: float = 1e-9) -> BraneRepo
     pass ``check_omega`` at tol (NonDegenerateRequired otherwise), and tol
     is read in its unit :func:`omega_unit` (see :class:`BraneReport`).
     """
-    basis = None if constant_coeffs(f) is not None else i_basis(omega, tol)
-    hs, orth, i_sq, low = [], [], [], []
-    for fc, oc in fiber_blocks(grid, f, omega):
-        w_ff, w_fo, w_oo = wedge(fc, fc), wedge(fc, oc), wedge(oc, oc)
-        hs.append(_hol_symp_block(w_ff, w_oo, w_fo))
-        orth.append(_peak(w_fo))
-        i_sq.append(_i_square_peak(omega, basis, fc, w_ff, w_fo, w_oo, tol))
-        low.append(_low(w_ff))
-        del fc, w_ff, w_fo  # freed before the next block is sampled
-    # F^F - omega^omega is the real part of (F + i omega)^(F + i omega)
-    r_sq, r_orth, r_i = max_abs(block[0] for block in hs), max_abs(orth), max_abs(i_sq)
-    closed = _closedness_resid(f)
-    sampled = basis is not None
-    r_closed = float(closed) if sampled else closed  # grid: floats
-    orientation_ok = bool(_least(low) > 0)
-    passed = _brane_passed(r_sq, r_orth, r_closed, orientation_ok, tol, omega_unit(omega))
-    grid_used = grid ** 4 if sampled else 1
-    hol_symp = _hol_symp_report(hs, [closed, _closedness_resid(omega)], grid_used, tol)
-    return BraneReport(
-        r_sq, r_orth, r_closed, r_i, orientation_ok, passed, grid_used, tol, hol_symp
-    )
+    entries, closed = i_entries(omega, f, tol), _closedness_resid(f)
+
+    def block(fc, oc):
+        peaks, lows = _wedge_block(fc, oc)  # F^F - omega^omega, F^omega, omega^omega; F^F last
+        terms = i_square_terms(entries(fc), lows[1], peaks[1], peaks[2])
+        # dF's norm enters every block, so the fold gives it the walk's type
+        return peaks + [terms, [closed]], lows
+
+    peaks, lows = fold_walk(grid, block, f, omega)
+    r_sq, r_orth, _, r_i, r_closed = peaks
+    oriented, grid_used = bool(lows[1] > 0), walk_points(grid, f)
+    passed = _brane_passed(r_sq, r_orth, r_closed, oriented, tol, omega_unit(omega))
+    hol_symp = _hol_symp_report(peaks, lows, [closed, _closedness_resid(omega)], grid_used, tol)
+    return BraneReport(r_sq, r_orth, r_closed, r_i, oriented, passed, grid_used, tol, hol_symp)
 
 
 def constant_branes_pass(omega: Form2, fc, tol: float = 1e-9):
@@ -208,13 +175,9 @@ def verify_holomorphic_symplectic(
     re + i*omega with a constant omega, ``verify_brane(omega, re).hol_symp``
     gives the same report from the brane check's own walk.
     """
-    blocks = []
-    for rc, ic in fiber_blocks(grid, re, im):
-        w_ri = wedge(rc, ic)  # an array when either part is sampled
-        blocks.append(_hol_symp_block(wedge(rc, rc), wedge(ic, ic), w_ri))
-    grid_used = grid ** 4 if isinstance(w_ri, np.ndarray) else 1
+    peaks, lows = fold_walk(grid, _wedge_block, re, im)
     closed = [_closedness_resid(re), _closedness_resid(im)]
-    return _hol_symp_report(blocks, closed, grid_used, tol)
+    return _hol_symp_report(peaks, lows, closed, walk_points(grid, re, im), tol)
 
 
 def equivalence_check(omega: Form2, f, grid: int = 8, tol: float = 1e-9) -> bool:
@@ -242,11 +205,10 @@ def deformation_residuals(omega: Form2, f, alpha, grid: int = 8, tol: float = 1e
       r_closed = coefficient norm of d(alpha);
     all three vanish exactly when F + alpha is again a brane for omega.
     """
-    quad, orth = [], []
-    for fc, ac, oc in fiber_blocks(grid, f, alpha, omega):
-        quad.append(_peak(wedge(fc, ac) + half(is_exact(*ac)) * wedge(ac, ac)))
-        orth.append(_peak(wedge(ac, oc)))
-    return max_abs(quad), max_abs(orth), _closedness_resid(alpha)
+    def block(fc, ac, oc):
+        return [wedge(fc, ac) + half(is_exact(*ac)) * wedge(ac, ac), wedge(ac, oc)], []
+
+    return (*fold_walk(grid, block, f, alpha, omega)[0], _closedness_resid(alpha))
 
 
 def linearized_deformation_check(
@@ -264,16 +226,19 @@ def linearized_deformation_check(
 
     which vanishes exactly when alpha wedges to zero against F and omega.
     Its largest coefficient over the grid, computed block by block (exactly
-    at one fiber when F and alpha are constant), is compared with tol.
+    at one fiber when F and alpha are constant), and the closedness
+    residual of alpha have degree 1 in (omega, F, alpha): both meet
+    tol * sqrt(u) in the unit u of :func:`omega_unit`.
     """
     check_omega(omega, tol)
-    if _closedness_resid(alpha) > tol:
+    bound = tol * math.sqrt(omega_unit(omega))
+    if _closedness_resid(alpha) > bound:
         return False
-    peaks = []
-    for fc, ac, oc in fiber_blocks(grid, f, alpha, omega):
+
+    def block(fc, ac, oc):
         vol = wedge(oc, oc)
         check_i_square(wedge(fc, fc), wedge(fc, oc), vol, tol)
         w_f, w_o = wedge(ac, fc), wedge(ac, oc)
-        peaks += [_peak(exact_div(w_f * x + w_o * y, vol)) for x, y in zip(fc, oc)]
-        del fc, ac, w_f, w_o  # freed before the next block is sampled
-    return bool(max_abs(peaks) <= tol)  # a NaN never passes
+        return [exact_div(w_f * x + w_o * y, vol) for x, y in zip(fc, oc)], []
+
+    return bool(max_abs(fold_walk(grid, block, f, alpha, omega)[0]) <= bound)  # NaN fails

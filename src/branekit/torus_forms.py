@@ -22,7 +22,10 @@ Every sample is a sum over the same few frequencies (d_m of a mode
 and sin of the forms' distinct frequencies give all their coefficient rows
 by two matrix products, taken in slices of frequencies no longer than the
 rows.  A check's memory follows the block at every rank and grid; a walk is
-refused only when its indices would not fit int64.
+refused only when its indices would not fit int64.  Every check reduces its
+per-block values through the one NaN-safe :func:`fold_walk` (max |.| and
+min, exact at the one fiber and floats on the grid), and reports the walk's
+count :func:`walk_points`.
 
 Whether I = omega^{-1} o F squares to -Id is read from the wedges alone:
 I^2 + Id = 2c I + (1 - r) Id with c = F^omega / omega^omega and
@@ -49,6 +52,7 @@ The module also hosts the integrability diagnostics:
   exact exterior derivative, providing an independent cross-check.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,6 +63,7 @@ from .errors import NotPointwiseBrane, WalkTooLarge
 from .exterior4 import (
     BIVECTOR_SLOTS,
     Form2,
+    compose_i,
     exact_div,
     half,
     inverse_times,
@@ -553,6 +558,44 @@ def fiber_blocks(grid: int, *forms):
                             slots)
 
 
+def walk_points(grid: int, *forms):
+    """The grid points a walk of :func:`fiber_blocks` stands for, the
+    ``grid_used`` of a report: 1 at the one fiber of constant forms, else
+    grid^4 (also when the walk visits one point per class)."""
+    return 1 if all(constant_coeffs(form) is not None for form in forms) else grid ** 4
+
+
+def fold_walk(grid: int, per_block, *forms):
+    """Max |value| and min value of ``per_block``'s values over the walk of
+    ``fiber_blocks(grid, *forms)``.
+
+    ``per_block(*samples)`` maps one block to (peaks, lows), two lists of
+    values: arrays, which are the fold's own (it takes a peak's |.| in
+    place), or scalars, such as a constant form's wedge; a peak may also be
+    a list of scalars, reduced together.  Returns the two lists folded over
+    the walk, max |peak| and min low.  At the one fiber of constant forms
+    each value keeps its own type, so exact values stay exact; on the grid
+    each is a float.  A NaN anywhere gives NaN (a tie keeps the first value
+    met).  Each block is reduced, and dropped, before the next one is
+    sampled, so memory follows the block.
+    """
+    exact, folded = all(constant_coeffs(form) is not None for form in forms), None
+    for samples in fiber_blocks(grid, *forms):
+        peaks, lows = per_block(*samples)
+        del samples  # with the values, freed before the next block is sampled
+        lows = [v.min() if isinstance(v, np.ndarray) else v for v in lows]
+        peaks = [np.abs(p, out=p).max() if isinstance(p, np.ndarray)
+                 else max_abs(p) if isinstance(p, list) else abs(p) for p in peaks]
+        if exact:  # the one fiber: one block
+            return peaks, lows
+        peaks, lows = [float(p) for p in peaks], [float(v) for v in lows]
+        if folded:  # the rules of max_abs, and of min with a NaN first: a NaN sticks
+            peaks = [b if b > a or b != b else a for a, b in zip(folded[0], peaks)]
+            lows = [b if b < a or b != b else a for a, b in zip(folded[1], lows)]
+        folded = peaks, lows
+    return folded
+
+
 #: the matrices B_{e^ab} of the six basis bivectors, shape (6, 4, 4)
 _UNIT_BIVECTORS = np.array([matrix_of_form2(Form2.from_coeffs(row)) for row in np.eye(6)])
 
@@ -568,6 +611,18 @@ def i_basis(omega: Form2, tol: float = 1e-12):
     """
     inverse = np.array(inverse_times(omega, np.eye(4).tolist(), tol))
     return (inverse @ _UNIT_BIVECTORS).reshape(6, 16)
+
+
+def i_entries(omega: Form2, f, tol: float = 1e-12):
+    """The map from a block of f's samples (:func:`fiber_blocks`) to the 16
+    row-major entries of I = omega^{-1} o F there: the exact ones of
+    compose_i at the one fiber of a constant f, else the rows contracted
+    with :func:`i_basis`, built once here.  NonDegenerateRequired when omega
+    fails ``check_omega`` at tol: at once on the grid, on the call at the
+    fiber."""
+    if constant_coeffs(f) is not None:
+        return lambda fc: [e for row in compose_i(omega, Form2.from_coeffs(fc), tol).m for e in row]
+    return functools.partial(np.matmul, i_basis(omega, tol).T)
 
 
 def _pencil_terms(w_ff, w_fo, w_oo):
@@ -601,15 +656,6 @@ def i_square_terms(i_entries, w_ff, w_fo, w_oo):
     return [two_c * e + (diag if k % 5 == 0 else 0) for k, e in enumerate(i_entries)]
 
 
-def i_square_peak(terms):
-    """max |I^2 + Id| over the :func:`i_square_terms` of one fiber (of their
-    own type) or of a grid block (a float, taken in place); a NaN anywhere
-    gives NaN.  It depends on the frame, so no verdict reads it."""
-    if isinstance(terms, np.ndarray):
-        return float(np.abs(terms, out=terms).max())
-    return max_abs(terms)
-
-
 def check_i_square(w_ff, w_fo, w_oo, tol):
     """Raise NotPointwiseBrane unless max(|2c|, |1 - r|) of a block's wedges
     (:func:`_pencil_terms`) is at most max(tol, 1e-9): the one I^2 = -Id
@@ -618,8 +664,8 @@ def check_i_square(w_ff, w_fo, w_oo, tol):
     them by tol.  The floor keeps rounding from refusing a brane at tol 0.
     A NaN fails.
     """
-    terms, bound = _pencil_terms(w_ff, w_fo, w_oo), max(tol, 1e-9)
-    peak = max_abs(np.abs(t).max() if isinstance(t, np.ndarray) else t for t in terms)
+    bound = max(tol, 1e-9)
+    peak = max_abs(t if is_exact(t) else np.abs(t).max() for t in _pencil_terms(w_ff, w_fo, w_oo))
     if not peak <= bound:
         raise NotPointwiseBrane(f"I^2 + Id = 2c I + (1 - r) Id has max(|2c|, |1 - r|) "
                                 f"{float(peak):.3e} > {bound:.1e}")
@@ -677,31 +723,26 @@ def nijenhuis_defect(omega: Form2, f, grid: int = 8, tol: float = 1e-9):
     one fiber).
     """
     f = as_trig(f)
-    basis = i_basis(omega, tol)
+    table_t = _nijenhuis_table(i_basis(omega, tol)).T
     omega_rows = [float(v) for v in omega.coeffs]
     w_oo = wedge(omega_rows, omega_rows)
-    table_t = _nijenhuis_table(basis).T
     # OpenBLAS splits a product whose M*N*K passes 4 * 65536 over threads;
     # contracted in column slices below that, the table stays on this thread
     step = 4 * 65536 // table_t.size
     partials = [TrigPolyForm2(tuple(fn.derivative(m) for fn in f.c)) for m in range(4)]
-    defects, dfs = [], []
-    for rows in fiber_blocks(grid, f, *partials, exterior_d(f)):
+
+    def block(*rows):
         # (slots, n) float rows; a constant (zero) partial is (6, 1) and broadcasts
         fc, *d_f, d_form = (np.asarray(r, dtype=float).reshape(len(r), -1) for r in rows)
-        dfs.append(np.abs(d_form).max())
         check_i_square(wedge(fc, fc), wedge(fc, omega_rows), w_oo, tol)
         prod = np.empty((6, 4, 6, fc.shape[1]))  # F_p (d_m F)_q at [p, m, q]
         for m, d in enumerate(d_f):
             np.multiply(fc[:, None], d, out=prod[:, m])
         prod = prod.reshape(144, -1)
-        for j in range(0, prod.shape[1], step):
-            n_comps = table_t @ prod[:, j:j + step]
-            defects.append(np.abs(n_comps, out=n_comps).max())
-        # freeing this block before the next one is sampled saves fresh pages
-        del rows, fc, d_f, d_form, prod, n_comps
-    # np.max, unlike the builtin, keeps a NaN from any block
-    return float(np.max(defects)), float(np.max(dfs))
+        slices = (table_t @ prod[:, j:j + step] for j in range(0, prod.shape[1], step))
+        return [max_abs(np.abs(n, out=n).max() for n in slices), np.abs(d_form).max()], []
+
+    return tuple(float(v) for v in fold_walk(grid, block, f, *partials, exterior_d(f))[0])
 
 
 def integrability_identity_residual(

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import branekit
-from branekit import brane_check, cli, torus_forms
+from branekit import cli, torus_forms
 from branekit.cli import main
 from branekit.cohomology import CohClass, torus_space
 from branekit.errors import BranekitError
@@ -414,13 +414,13 @@ class TestOptionRanges:
 
 class TestVerifyWalk:
     def test_verify_walks_the_grid_once(self, monkeypatch, capsys):
-        walks = []
+        walks, fiber_blocks = [], torus_forms.fiber_blocks
 
         def counted(*args):
             walks.append(args[0])
-            return torus_forms.fiber_blocks(*args)
+            return fiber_blocks(*args)
 
-        monkeypatch.setattr(brane_check, "fiber_blocks", counted)
+        monkeypatch.setattr(torus_forms, "fiber_blocks", counted)
         data = resources.files("branekit").joinpath("data")
         args = [str(data / "omega0.json"), str(data / "rotation_k1000.json")]
         assert main(["verify", *args, "--grid", "14", "--no-timestamp"]) == 1

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from branekit.brane_check import BraneReport, HolSympReport, verify_brane
@@ -42,10 +42,12 @@ from branekit.period_domain import (
     quadric_contains,
     quadric_sweep,
 )
+from branekit import torus_forms
 from branekit.torus_forms import (
     constant_coeffs,
     exterior_d,
     fiber_blocks,
+    fold_walk,
     i_basis,
     rotation_family,
     standard_brane,
@@ -428,3 +430,69 @@ class TestOneSampleCases:
             got = quadric_contains(q, stack, tol)
             assert got.tolist() == [quadric_contains(q, c, tol) for c in classes]
             assert got.tolist() == [True] * 6 + [False] * 3
+
+
+# --- the walk's fold against the pre-change per-block reductions ----------------
+
+#: floats, a quarter of them the values a reduction can get wrong: NaN, the
+#: infinities and the two zeros
+plain = st.floats(-1e3, 1e3, allow_nan=False)
+edge_floats = st.one_of(plain, plain, plain,
+                        st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0]))
+exact_values = st.one_of(st.integers(-9, 9),
+                         st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5)))
+
+
+@st.composite
+def walk_blocks(draw):
+    """(one_fiber, blocks): at the one fiber a single block of exact (or
+    float) scalars, on the grid one to four blocks of float arrays or
+    plain floats (a constant form's wedge), NaN and the infinities in any
+    block.  A block is (peaks, lows), each a list of values."""
+    one_fiber = draw(st.booleans())
+    n_peaks, n_lows = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    if one_fiber:
+        scalar = st.one_of(exact_values, edge_floats)
+        return True, [(draw(st.lists(scalar, min_size=n_peaks, max_size=n_peaks)),
+                       draw(st.lists(scalar, min_size=n_lows, max_size=n_lows)))]
+    size = draw(st.integers(1, 5))
+    array = st.lists(edge_floats, min_size=size, max_size=size).map(np.array)
+    value = st.one_of(array, array, edge_floats)
+    blocks = draw(st.lists(st.tuples(st.lists(value, min_size=n_peaks, max_size=n_peaks),
+                                     st.lists(value, min_size=n_lows, max_size=n_lows)),
+                           min_size=1, max_size=4))
+    return False, blocks
+
+
+class TestFoldWalk:
+    """``fold_walk`` gives the value and type of the pre-change reductions:
+    ``_peak`` and ``_low`` per block, then ``max_abs`` and ``_least`` over
+    the blocks."""
+
+    @settings(max_examples=300)
+    @given(walk_blocks(), st.data())
+    @example((False, [([1.0], [0.0]), ([2.0], [-0.0])]), None)  # a tie keeps the first
+    @example((False, [([-0.0], [np.array([3.0, -1.0])]), ([np.array([-0.0, 0.0])], [5.0])]),
+             None)
+    def test_against_peak_low_and_least(self, walk, data):
+        one_fiber, blocks = walk
+        if data and not one_fiber and len(blocks) > 1:  # a NaN in a later block
+            later = data.draw(st.integers(1, len(blocks) - 1))
+            blocks[later][0][0] = np.append(blocks[later][0][0], math.nan)
+        want_peaks = [max_abs(_peak(block[0][j]) for block in blocks)
+                      for j in range(len(blocks[0][0]))]
+        want_lows = [_least(_low(block[1][j]) for block in blocks)
+                     for j in range(len(blocks[0][1]))]
+        forms = [standard_symplectic()] if one_fiber else [rotation_family((1, 0, 0, 0))]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(torus_forms, "fiber_blocks", lambda grid, *f: iter(blocks))
+            got_peaks, got_lows = fold_walk(2, lambda peaks, lows: (peaks, lows), *forms)
+        for got, want in zip(got_peaks + got_lows, want_peaks + want_lows):
+            assert type(got) is type(want) and repr(got) == repr(want)
+
+    def test_a_list_peak_is_one_value(self):
+        # I^2 + Id's 16 exact terms at the one fiber: max |.| of the list
+        terms = [Fraction(-7, 3), 2, Fraction(1, 9)]
+        (peak,), _ = fold_walk(1, lambda fc, oc: ([terms], []), standard_brane(),
+                               standard_symplectic())
+        assert peak == Fraction(7, 3) and type(peak) is Fraction

@@ -100,6 +100,14 @@ class TestRegressions:
     def test_quadric_contains_the_near_brane_class(self, t):
         assert _quadric_holds(t * W0, t * (F0 + Form2(c13=1e-10)))
 
+    @pytest.mark.parametrize("t", SCALES)
+    def test_linearized_check_reads_tol_in_u(self, t):
+        # the (2,0)+(0,2) part of alpha = t eps omega0 is alpha itself, of
+        # degree 1, so it meets tol * sqrt(u) = tol * t when eps is below tol
+        omega, f = t * W0, t * F0
+        assert linearized_deformation_check(omega, f, t * 1e-10 * W0)
+        assert not linearized_deformation_check(omega, f, t * 1e-8 * W0)
+
     def test_checks_agree_near_tol(self):
         # |F^omega| = 0.8e-9 and 2|F^omega| = 1.6e-9 meet tol and 2 tol alike
         code, report = _run("verify", _constant_doc(W0), _constant_doc(F0 + 0.4e-9 * W0))
