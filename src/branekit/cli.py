@@ -38,6 +38,7 @@ import datetime
 import json
 import math
 import os
+import stat
 import sys
 from dataclasses import fields
 from importlib import resources
@@ -97,16 +98,17 @@ def _require(cond, message):
 
 
 def _check_number(value, where):
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-             f"{where}: expected a number, got {value!r}")
+    # a message is built only for a refused number: a file holds hundreds
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{where}: expected a number, got {value!r}")
     # json.load accepts the NaN and Infinity literals, and ints of any size
     try:
-        finite = math.isfinite(value)
+        if math.isfinite(value):
+            return value
     except OverflowError:  # an int beyond the largest float, shown by its size
         raise SchemaError(f"{where}: expected a finite number, "
                           f"got an integer of {len(str(abs(value)))} digits") from None
-    _require(finite, f"{where}: expected a finite number, got {value!r}")
-    return value
+    raise SchemaError(f"{where}: expected a finite number, got {value!r}")
 
 
 def _file_kind(doc, path):
@@ -177,11 +179,23 @@ def _num(value):
 
 
 def _emit(text, out_path):
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
+    """Write a report to stdout, or over the file at ``out_path``.
+
+    An existing file is overwritten in place and then cut to the new
+    length, never truncated first: on ext4, closing a file truncated to
+    zero (or renaming one over it) starts writeback of the new blocks at
+    once, while pages rewritten in place wait for the periodic flush.
+    Neither way is atomic: a run killed between the write and the cut
+    leaves the new bytes followed by old ones.  A FIFO or a device has no
+    length to cut.  Same mode, encoding and newlines as ``open(path, "w")``.
+    """
+    if not out_path:
         sys.stdout.write(text)
+        return
+    with os.fdopen(os.open(out_path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
+        fh.write(text)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
 
 
 def _finish_report(report, args, samples=()):
@@ -258,20 +272,23 @@ def physical_memory():
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-#: the least a reported number takes until its report is written: a float
-#: object (24 bytes), its list or dict slot (8) and 16 characters of text
-_NUMBER_BYTES = 48
+#: the most a reported number takes until its report is written, with room:
+#: 64 bytes of its sample's objects (a float is 24, a list, tuple or array
+#: slot 8) and three copies of its text, each at most 48 characters with its
+#: layout, since a report's rows, their join and the report text live at once
+_NUMBER_BYTES = 256
 
 
 def _chart_draws(chart, seed, count, sample_bytes):
     """``count`` chart points (theta, ybar) drawn from ``seed``.
 
-    Raises SweepTooLarge before the first draw when ``count`` samples of
-    ``sample_bytes`` each would take more than the machine's physical memory.
+    Raises SweepTooLarge before the first draw when ``count`` samples of at
+    most ``sample_bytes`` each could take more than the machine's physical
+    memory.
     """
     need, have = count * sample_bytes, physical_memory()
     if need > have:
-        raise SweepTooLarge(f"{count} samples need at least {need} bytes, "
+        raise SweepTooLarge(f"{count} samples may take up to {need} bytes, "
                             f"more than the {have} bytes of physical memory")
     rng, k = np.random.default_rng(seed), len(chart.neg)
     return [(float(rng.uniform(0.0, 2.0 * math.pi)), tuple(map(float, rng.normal(size=k))))
@@ -334,8 +351,10 @@ def cmd_metric(args):
         + ["off_diag_max", "gamma_resid", "sig_pos", "sig_neg"]
     )
     if args.sweep:
-        # a sample keeps its metric, (1 + k)^2 floats, and its row's numbers
-        sample_bytes = 8 * (1 + k) ** 2 + _NUMBER_BYTES * len(header)
+        # metric_sweep holds at most six float arrays of (1 + k) x dim per
+        # sample at once: the tangents, g and the temporaries of its
+        # symmetrisation, its signature and its gamma residual
+        sample_bytes = 8 * 6 * (1 + k) * chart.spec.space.dim + _NUMBER_BYTES * len(header)
         params = _chart_draws(chart, args.seed, args.sweep, sample_bytes)
     else:
         ybar = args.ybar if args.ybar is not None else (0.0,) * k

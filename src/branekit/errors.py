@@ -59,7 +59,8 @@ class WalkTooLarge(BranekitError):
 
 
 class SweepTooLarge(BranekitError):
-    """A sample sweep would need more memory than the machine has."""
+    """A sample sweep could need more memory than the machine has: its
+    count is an upper bound on what each sample takes."""
 
 
 class SchemaError(BranekitError):

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import gc
 import io
 import json
 import math
@@ -12,7 +13,9 @@ import resource
 import subprocess
 import sys
 import tempfile
+import threading
 import time
+import tracemalloc
 import warnings
 from importlib import resources
 from pathlib import Path
@@ -533,7 +536,97 @@ class TestSweepBound:
         assert len(json.loads(capsys.readouterr().out)["samples"]) == 100
         monkeypatch.setattr(cli.np.random, "default_rng", None)  # a draw would fail
         assert main(args + ["101"]) == 2
-        assert "101 samples need at least" in capsys.readouterr().err
+        assert "101 samples may take up to" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["quadric", "--samples"], ["metric", "--sweep"],
+                                         ["metric", "--space", "k3", "--sweep"]])
+    def test_a_sample_takes_less_than_its_count(self, tmp_path, omega_file, f0_file,
+                                                monkeypatch, command):
+        if "k3" in command:
+            files = _k3_pair(tmp_path)
+        else:
+            files = [omega_file, f0_file]
+        counts, draws = [], cli._chart_draws
+
+        def spy(chart, seed, count, sample_bytes):
+            counts.append(sample_bytes)
+            return draws(chart, seed, count, sample_bytes)
+
+        monkeypatch.setattr(cli, "_chart_draws", spy)
+        argv = command[:1] + files + command[1:]
+
+        def peak(samples):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                assert main(argv + [str(samples), "--no-timestamp", "--out",
+                                    str(tmp_path / "report.out")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(10)  # one-time allocations land here, not in the growth
+        growth = (peak(4000) - peak(1000)) / 3000
+        assert 0 < growth < counts[-1]
+
+
+class TestReportWriter:
+    """``--out`` is written over in place and cut to the report's length."""
+
+    @pytest.mark.parametrize("command", [["verify"], ["quadric", "--samples", "3"],
+                                         ["metric", "--sweep", "3"]])
+    def test_a_longer_file_is_cut_to_the_report(self, tmp_path, omega_file, f0_file, command,
+                                               capsys):
+        argv = command[:1] + [omega_file, f0_file] + command[1:] + ["--no-timestamp"]
+        assert main(argv) == 0
+        want = capsys.readouterr().out.encode()
+        out = tmp_path / "report.out"
+        out.write_bytes(want[:-1] + b"stale\n" * 20_000)
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_bytes() == want
+
+    def test_a_new_file_gets_the_mode_of_open(self, tmp_path, omega_file, f0_file):
+        out, ref = tmp_path / "report.json", tmp_path / "ref.json"
+        ref.write_text("")  # open(path, "w")
+        assert main(["verify", omega_file, f0_file, "--out", str(out)]) == 0
+        assert out.stat().st_mode == ref.stat().st_mode
+
+    def test_devnull_takes_the_report(self, omega_file, f0_file, capsys):
+        assert main(["verify", omega_file, f0_file, "--out", os.devnull]) == 0
+        assert capsys.readouterr().out == ""
+
+    def test_a_fifo_gets_the_whole_report(self, tmp_path, omega_file, f0_file, capsys):
+        argv = ["metric", omega_file, f0_file, "--sweep", "50", "--no-timestamp"]
+        assert main(argv) == 0
+        want = capsys.readouterr().out.encode()
+        fifo = tmp_path / "report.fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert main(argv + ["--out", str(fifo)]) == 0
+        reader.join(timeout=60)
+        assert not reader.is_alive()
+        assert got == [want]
+
+    @pytest.mark.parametrize("head", [["verify"], ["nijenhuis"], ["quadric"], ["metric"],
+                                      ["metric", "--space", "k3"], ["example-torus"]])
+    def test_an_input_error_leaves_the_file_as_it_was(self, tmp_path, omega_file, f0_file, head,
+                                                      capsys):
+        if head == ["example-torus"]:
+            files = []
+        elif "k3" in head:
+            files = _k3_pair(tmp_path)
+        else:
+            files = [omega_file, f0_file]
+        out = tmp_path / "report.out"
+        old = b"an older report\n" * 1000
+        out.write_bytes(old)
+        # no omega is non-degenerate at tol 1e300, and no k3 chart exists at it
+        argv = head[:1] + files + head[1:] + ["--tol", "1e300", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert out.read_bytes() == old
 
 
 class TestParser:
@@ -584,6 +677,12 @@ def _k3_file(path, leading, version=1):
     """A K3 class file whose coefficients start with ``leading``, zeros after."""
     coeffs = list(leading) + [0] * (22 - len(leading))
     return write_json(path, {"version": version, "kind": "class", "space": "k3", "coeffs": coeffs})
+
+
+def _k3_pair(tmp_path):
+    """The omega and base class files of the golden k3 sweep."""
+    return [_k3_file(tmp_path / "o.json", [1, 2, 0, 0, 0, 2]),
+            _k3_file(tmp_path / "b.json", [-2, -1, 0, 0, 0, -2])]
 
 
 class TestRefusals:
