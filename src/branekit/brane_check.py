@@ -14,7 +14,9 @@ inputs stay rational), for trigonometric-polynomial forms the wedge
 residuals are maximised over a uniform grid while the exterior derivative
 is always exact.  Each check states its per-block values and its verdict;
 the walk and its reduction are ``torus_forms.fold_walk``'s, and both
-reports read the one wedge block of :func:`_wedge_block`.
+reports read the one wedge block of :func:`_wedge_block`.  I^2 = -Id for
+I = omega^{-1} o F is read from the same wedges
+(``torus_forms.pencil_resid``), so no check here forms I.
 """
 
 import math
@@ -32,8 +34,7 @@ from .exterior4 import (
     omega_unit,
     wedge,
 )
-from .torus_forms import (check_i_square, exterior_d, fold_walk, i_entries, i_square_terms,
-                          walk_points)
+from .torus_forms import check_i_square, exterior_d, fold_walk, pencil_resid, walk_points
 
 
 @dataclass(frozen=True)
@@ -56,12 +57,12 @@ class BraneReport:
     ``tol`` in the unit u = |pf(omega)| of :func:`omega_unit` (the wedge
     residuals at most tol * u, closedness at most tol * sqrt(u)) and F ^ F
     is positive (the orientation content of condition (1)).  The wedges
-    decide I^2 = -Id for I = omega^{-1} o F: passing, they bound
-    max(|2c|, |1 - r|) of :func:`check_i_square` by tol.  So
-    ``i_square_resid``, the largest of the 16 entries of I^2 + Id, is a
-    diagnostic only; it depends on the frame and no verdict reads it.
-    ``hol_symp`` is the report of F + i*omega, read from the same samples
-    and wedges.
+    decide I^2 = -Id for I = omega^{-1} o F: ``i_square_resid`` is the
+    largest over the walk of max(|2c|, |1 - r|), the size of
+    I^2 + Id = 2c I + (1 - r) Id that the guard :func:`check_i_square`
+    reads (:func:`pencil_resid`), free of the frame.  Passing wedges bound
+    it by tol, so the verdict does not read it again.  ``hol_symp`` is the report of
+    F + i*omega, read from the same samples and wedges.
     """
 
     wedge_square_resid: object
@@ -127,13 +128,13 @@ def verify_brane(omega: Form2, f, grid: int = 8, tol: float = 1e-9) -> BraneRepo
     pass ``check_omega`` at tol (NonDegenerateRequired otherwise), and tol
     is read in its unit :func:`omega_unit` (see :class:`BraneReport`).
     """
-    entries, closed = i_entries(omega, f, tol), _closedness_resid(f)
+    check_omega(omega, tol)
+    closed = _closedness_resid(f)
 
     def block(fc, oc):
         peaks, lows = _wedge_block(fc, oc)  # F^F - omega^omega, F^omega, omega^omega; F^F last
-        terms = i_square_terms(entries(fc), lows[1], peaks[1], peaks[2])
         # dF's norm enters every block, so the fold gives it the walk's type
-        return peaks + [terms, [closed]], lows
+        return peaks + [pencil_resid(lows[1], peaks[1], peaks[2]), [closed]], lows
 
     peaks, lows = fold_walk(grid, block, f, omega)
     r_sq, r_orth, _, r_i, r_closed = peaks

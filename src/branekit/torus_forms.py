@@ -29,15 +29,15 @@ count :func:`walk_points`.
 
 Whether I = omega^{-1} o F squares to -Id is read from the wedges alone:
 I^2 + Id = 2c I + (1 - r) Id with c = F^omega / omega^omega and
-r = F^F / omega^omega (:func:`_pencil_terms`), so the one guard,
-:func:`check_i_square`, takes the two scalars 2c and 1 - r, free of the
-frame, from the wedges a block already forms.  The 16 entries of I^2 + Id
-(:func:`i_square_terms`) remain as a diagnostic of the brane report only.
-The rest of the pointwise algebra of I (linear in F's coefficients, see
-:func:`i_basis`) runs on the grid with no per-point I-field: the Nijenhuis
-tensor, bilinear in F and its partials, is one constant (144, 24) table in
-F, built once per call from ``i_basis`` and derived from the one Nijenhuis
-formula (:func:`_nijenhuis_table`).
+r = F^F / omega^omega, so its size is max(|2c|, |1 - r|)
+(:func:`pencil_resid`), free of the frame and read from the wedges a block
+already forms.  The one guard, :func:`check_i_square`, and the brane
+report's ``i_square_resid`` both read that value; no entry of I is formed
+for it.  The rest of the pointwise algebra of I (linear in F's
+coefficients, see :func:`i_basis`) runs on the grid with no per-point
+I-field: the Nijenhuis tensor, bilinear in F and its partials, is one
+constant (144, 24) table in F, built once per call from ``i_basis`` and
+derived from the one Nijenhuis formula (:func:`_nijenhuis_table`).
 
 The module also hosts the integrability diagnostics:
 
@@ -52,7 +52,6 @@ The module also hosts the integrability diagnostics:
   exact exterior derivative, providing an independent cross-check.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,7 +62,6 @@ from .errors import NotPointwiseBrane, WalkTooLarge
 from .exterior4 import (
     BIVECTOR_SLOTS,
     Form2,
-    compose_i,
     exact_div,
     half,
     inverse_times,
@@ -613,59 +611,33 @@ def i_basis(omega: Form2, tol: float = 1e-12):
     return (inverse @ _UNIT_BIVECTORS).reshape(6, 16)
 
 
-def i_entries(omega: Form2, f, tol: float = 1e-12):
-    """The map from a block of f's samples (:func:`fiber_blocks`) to the 16
-    row-major entries of I = omega^{-1} o F there: the exact ones of
-    compose_i at the one fiber of a constant f, else the rows contracted
-    with :func:`i_basis`, built once here.  NonDegenerateRequired when omega
-    fails ``check_omega`` at tol: at once on the grid, on the call at the
-    fiber."""
-    if constant_coeffs(f) is not None:
-        return lambda fc: [e for row in compose_i(omega, Form2.from_coeffs(fc), tol).m for e in row]
-    return functools.partial(np.matmul, i_basis(omega, tol).T)
-
-
-def _pencil_terms(w_ff, w_fo, w_oo):
-    """2c and 1 - r of I^2 + Id = 2c I + (1 - r) Id from the wedges ``w_ff``
-    = F^F, ``w_fo`` = F^omega and ``w_oo`` = omega^omega, exact when all
-    three are and one value per fiber for rows.
+def pencil_resid(w_ff, w_fo, w_oo):
+    """max(|2c|, |1 - r|) of I^2 + Id = 2c I + (1 - r) Id for I = omega^{-1} o F,
+    from the wedges ``w_ff`` = F^F, ``w_fo`` = F^omega and ``w_oo`` =
+    omega^omega: exact when all three are, else one float per fiber for
+    rows.  A NaN gives NaN.
 
     In dimension 4, Cayley-Hamilton for the Pfaffian pencil pf(F - t omega)
     gives I^2 = 2c I - r Id with c = (F^omega)/(omega^omega) and
     r = (F^F)/(omega^omega).  With 2c not 0, I^2 + Id = 0 would make I a
     real multiple of Id, whose square is not -Id; so I^2 = -Id exactly when
-    both terms vanish.
+    this value is 0.  It is of degree 0 and free of the frame.
     """
-    return exact_div(2 * w_fo, w_oo), 1 - exact_div(w_ff, w_oo)
-
-
-def i_square_terms(i_entries, w_ff, w_fo, w_oo):
-    """The 16 row-major entries of I^2 + Id from I's entries and the
-    :func:`_pencil_terms` of the wedges, with no I @ I.
-
-    Plain arithmetic like :func:`wedge`: the exact entries of compose_i at
-    one fiber give exact values, and entries that are arrays with one value
-    per fiber give each fiber's values with the same bits; the (16, n) rows
-    ``basis.T @ f_rows`` of a grid block are scaled in place.
-    """
-    two_c, diag = _pencil_terms(w_ff, w_fo, w_oo)
-    if isinstance(i_entries, np.ndarray):
-        i_entries *= two_c
-        i_entries[::5] += diag  # the diagonal rows 0, 5, 10, 15
-        return i_entries
-    return [two_c * e + (diag if k % 5 == 0 else 0) for k, e in enumerate(i_entries)]
+    two_c, diag = exact_div(2 * w_fo, w_oo), 1 - exact_div(w_ff, w_oo)
+    if isinstance(two_c, np.ndarray):
+        return np.maximum(np.abs(two_c), np.abs(diag))
+    return max_abs((two_c, diag))
 
 
 def check_i_square(w_ff, w_fo, w_oo, tol):
-    """Raise NotPointwiseBrane unless max(|2c|, |1 - r|) of a block's wedges
-    (:func:`_pencil_terms`) is at most max(tol, 1e-9): the one I^2 = -Id
-    guard of the checks that need a complex structure.  The two scalars do
-    not depend on the frame, and the wedges passing a brane verdict bound
-    them by tol.  The floor keeps rounding from refusing a brane at tol 0.
-    A NaN fails.
+    """Raise NotPointwiseBrane unless :func:`pencil_resid` of a block's
+    wedges is at most max(tol, 1e-9) at every fiber: the one I^2 = -Id
+    guard of the checks that need a complex structure.  The wedges passing
+    a brane verdict bound it by tol.  The floor keeps rounding from
+    refusing a brane at tol 0.  A NaN fails.
     """
     bound = max(tol, 1e-9)
-    peak = max_abs(t if is_exact(t) else np.abs(t).max() for t in _pencil_terms(w_ff, w_fo, w_oo))
+    peak = np.max(pencil_resid(w_ff, w_fo, w_oo))  # over the block's fibers; NaN sticks
     if not peak <= bound:
         raise NotPointwiseBrane(f"I^2 + Id = 2c I + (1 - r) Id has max(|2c|, |1 - r|) "
                                 f"{float(peak):.3e} > {bound:.1e}")

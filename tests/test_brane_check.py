@@ -25,6 +25,7 @@ from branekit.exterior4 import (
     Form2,
     LinearMap4,
     compose_i,
+    half,
     is_exact,
     max_abs,
     pfaffian,
@@ -42,8 +43,8 @@ from branekit.torus_forms import (
     eval_at,
     exterior_d,
     i_basis,
-    i_square_terms,
     nijenhuis_defect,
+    pencil_resid,
     rotation_family,
     standard_brane,
     standard_kahler,
@@ -90,6 +91,15 @@ class TestVerifyBrane:
     def test_degenerate_omega_rejected(self):
         with pytest.raises(NonDegenerateRequired):
             verify_brane(Form2(c12=1), F0)
+
+    @pytest.mark.parametrize("f", [F0, rotation_family((1, 0, 0, 0))])
+    def test_degenerate_omega_is_refused_before_the_walk(self, f, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("the walk started")
+
+        monkeypatch.setattr(torus_forms, "fiber_blocks", unreachable)
+        with pytest.raises(NonDegenerateRequired):
+            verify_brane(Form2(c12=1), f)
 
     def test_orientation_reversal_fails(self):
         # -F0 wedge -F0 is still positive, so flip one factor instead:
@@ -316,25 +326,23 @@ class TestFiberWalk:
         monkeypatch.setattr(torus_forms, "CHUNK_POINTS", 2)  # the peak is in block 2
         assert reports() == whole
 
-    def test_i_basis_is_built_once_per_gridded_call(self, monkeypatch):
-        built, i_basis_ = [], torus_forms.i_basis
-
-        def counted(*args):
-            built.append(args)
-            return i_basis_(*args)
-
-        monkeypatch.setattr(torus_forms, "i_basis", counted)
-        monkeypatch.setattr(torus_forms, "CHUNK_POINTS", 1000)
+    def test_brane_and_deformation_checks_build_no_basis(self, monkeypatch):
+        # both read I^2 = -Id from the wedges: neither forms I, on the grid
+        # or at one fiber
         _, rot = brane_field((1, 0, 0, 0), R_234)  # frequency rank 4
         alpha = _closed_11(TrigPolyFn.mode((1, 0, 2, 0), cos=1))
-        verify_brane(W0, rot)  # 5 blocks
+
+        def unreachable(*args):
+            raise AssertionError("I was formed")
+
+        for module in (exterior4, torus_forms, brane_check):
+            for name in ("i_basis", "compose_i"):
+                monkeypatch.setattr(module, name, unreachable, raising=False)
+        monkeypatch.setattr(torus_forms, "CHUNK_POINTS", 1000)
+        assert verify_brane(W0, rot).i_square_resid <= 1e-12  # 5 blocks
         linearized_deformation_check(W0, rot, alpha)  # its guard reads the wedges
-        assert len(built) == 1
-        # one fiber: exact compose_i, no basis
-        built.clear()
         assert verify_brane(W0, F0).i_square_resid == 0
         assert linearized_deformation_check(W0, F0, TrigPolyForm2.from_constant(KAPPA))
-        assert built == []
 
     def test_nan_mode_reads_as_nan_closedness(self):
         # d of the NaN mode has component norms [0, 0, nan, nan]: a NaN that
@@ -408,7 +416,7 @@ class TestRankFourWalk:
             w_dd = wedge22(d, d).v
             sq, orth = max(sq, abs(w_dd - w_oo)), max(orth, abs(wedge22(d, omega).v))
             low = min(low, w_dd)
-            i_sq = max(i_sq, square_resid(compose_i(omega_f, d)))
+            i_sq = max(i_sq, _pencil_of(compose_i(omega_f, d)))
             quad = max(quad, abs(wedge22(f, a).v + wedge22(a, a).v / 2))
             a_orth = max(a_orth, abs(wedge22(a, omega).v))
             for j, form in enumerate((alpha, beta)):
@@ -495,22 +503,38 @@ def _float_omega(coeffs):
     return omega
 
 
+def _pencil_of(i):
+    """max(|2c|, |1 - r|) read from I alone: its characteristic polynomial
+    is (t^2 - 2c t + r)^2, so tr I = 4c and tr I^2 = 8c^2 - 4r.  Exact for
+    exact entries."""
+    tr = sum(i.m[a][a] for a in range(4))
+    tr_sq = sum(i.m[a][b] * i.m[b][a] for a in range(4) for b in range(4))
+    h = half(is_exact(tr, tr_sq))
+    two_c = h * tr
+    return max_abs((two_c, 1 - h * two_c * two_c + h * h * tr_sq))
+
+
 def _assert_closed_form_matches_compose_i(omega, cols):
-    """The closed form over the columns of a (6, n) block against the largest
-    square_resid(compose_i) of its columns, within 1e-12 of 1 + max |I|^2."""
+    """Over the columns of a (6, n) block: the closed form 2c I + (1 - r) Id
+    against the largest square_resid(compose_i) of its columns, and
+    :func:`pencil_resid` against :func:`_pencil_of` of each column's I, within
+    1e-12 of 1 + max |I|^2."""
     rows = np.array(cols, dtype=float).T
     o = [float(v) for v in omega.coeffs]
-    got = float(np.abs(i_square_terms(
-        i_basis(omega).T @ rows, wedge(rows, rows), wedge(rows, o), wedge(o, o)
-    )).max())
+    w_ff, w_fo, w_oo = wedge(rows, rows), wedge(rows, o), wedge(o, o)
+    closed = 2 * w_fo / w_oo * (i_basis(omega).T @ rows)  # 16 row-major entries of 2c I
+    closed[::5] += 1 - w_ff / w_oo  # the diagonal rows 0, 5, 10, 15
     maps = [compose_i(omega, Form2.from_coeffs(tuple(col))) for col in rows.T]
-    want = max_abs(square_resid(i) for i in maps)
     scale = 1 + max(i.max_abs() for i in maps) ** 2
-    assert abs(got - want) <= 1e-12 * scale
+    assert abs(np.abs(closed).max() - max_abs(square_resid(i) for i in maps)) <= 1e-12 * scale
+    got = pencil_resid(w_ff, w_fo, w_oo)
+    assert got.shape == (len(maps),)
+    assert np.abs(got - [_pencil_of(i) for i in maps]).max() <= 1e-12 * scale
 
 
 class TestClosedFormISquare:
-    """I^2 + Id = 2c I + (1 - r) Id against square_resid(compose_i)."""
+    """I^2 + Id = 2c I + (1 - r) Id against square_resid(compose_i), and the
+    reported max(|2c|, |1 - r|) against I's traces."""
 
     @given(omega=st.lists(floats, min_size=6, max_size=6),
            cols=st.lists(st.lists(floats, min_size=6, max_size=6), min_size=1, max_size=5))
@@ -537,9 +561,9 @@ class TestClosedFormISquare:
         closed = max_abs(2 * c * i.m[a][b] + (1 - r) * (a == b)
                          for a in range(4) for b in range(4))
         assert closed == square_resid(i)
-        # the one-fiber report keeps the exact value and type
+        # the one-fiber report is max(|2c|, |1 - r|), exact
         got = verify_brane(omega, f).i_square_resid
-        assert is_exact(got) and got == square_resid(i)
+        assert is_exact(got) and got == max(abs(2 * c), abs(1 - r)) == _pencil_of(i)
 
     @given(seed=seeds, k=ks, r=trig_polys, eps=st.sampled_from([0.0, 1e-3, 1.0]))
     def test_grid_report_matches_pointwise_compose_i(self, seed, k, r, eps):
@@ -550,7 +574,7 @@ class TestClosedFormISquare:
             mp.setattr(torus_forms, "CHUNK_POINTS", 37)  # divides no grid^4 here
             got = verify_brane(omega, field, grid=3).i_square_resid
         maps = [compose_i(omega, eval_at(field, x)) for x in uniform_grid(3)]
-        want = max_abs(square_resid(i) for i in maps)
+        want = max_abs(_pencil_of(i) for i in maps)
         assert abs(got - want) <= 1e-12 * (1 + max(i.max_abs() for i in maps) ** 2)
 
     def test_nan_mode_never_passes(self):
@@ -562,27 +586,46 @@ class TestClosedFormISquare:
         with pytest.raises(NotAlmostComplex):
             linearized_deformation_check(W0, f, alpha)
 
+    def test_nan_at_one_fiber_never_passes(self):
+        f = F0 + Form2(c13=float("nan"))
+        rep = verify_brane(W0, f)
+        assert math.isnan(rep.i_square_resid) and not rep.passed
+        with pytest.raises(NotAlmostComplex):
+            linearized_deformation_check(W0, f, KAPPA)
+
+    def test_an_infinite_coefficient_reads_nan(self):
+        # F^omega0 = inf where F^F = inf * 0 is NaN: 2c is inf and 1 - r NaN,
+        # and the report keeps the NaN
+        f = (TrigPolyForm2.from_constant(F0 + Form2(c14=math.inf))
+             + TrigPolyForm2.from_fns([TrigPolyFn.mode((1, 0, 0, 0), sin=1)] + [0] * 5))
+        with np.errstate(invalid="ignore"):
+            rep = verify_brane(W0, f)
+        assert math.isnan(rep.i_square_resid) and not rep.passed
+
     def test_no_per_point_i_field_on_the_grid(self, monkeypatch):
         shapes = []
 
         class ShapeSpy(np.ndarray):
-            """Records the shape of every array derived from the basis."""
+            """Records the shape of every array derived from the samples."""
 
             def __array_finalize__(self, obj):
                 shapes.append(self.shape)
 
-        i_basis_ = torus_forms.i_basis
+        fiber_blocks = torus_forms.fiber_blocks
 
-        def spied(*args):
-            return i_basis_(*args).view(ShapeSpy)
+        def spied(grid, *forms):
+            for samples in fiber_blocks(grid, *forms):
+                yield tuple(s.view(ShapeSpy) if isinstance(s, np.ndarray) else s for s in samples)
 
-        monkeypatch.setattr(torus_forms, "i_basis", spied)
+        alpha = _closed_11(TrigPolyFn.mode((1, 0, 2, 0), cos=1))
+        monkeypatch.setattr(torus_forms, "fiber_blocks", spied)
         monkeypatch.setattr(torus_forms, "CHUNK_POINTS", 1000)
         _, rot = brane_field((1, 0, 0, 0), R_234)  # frequency rank 4
         verify_brane(W0, rot)  # 5 blocks
-        linearized_deformation_check(W0, rot, _closed_11(TrigPolyFn.mode((1, 0, 2, 0), cos=1)))
-        assert (16, 1000) in shapes
-        assert not [s for s in shapes if len(s) == 3 and s[1:] == (4, 4)]
+        linearized_deformation_check(W0, rot, alpha)
+        assert (6, 1000) in shapes and (1000,) in shapes
+        # neither the (16, n) entries of I nor a per-point (n, 4, 4) I-field
+        assert not [s for s in shapes if s[:1] == (16,) or s[-2:] == (4, 4)]
 
 
 #: generators of frequency lattices of rank 1 to 4; (2, 0, 0, 0), (0, 2, 0, 2)
@@ -603,8 +646,8 @@ fractions = st.fractions(-3, 3, max_denominator=4)
 
 
 class TestOneFiberISquare:
-    """At one fiber I^2 + Id comes from the closed form over compose_i's
-    entries, with no I @ I."""
+    """At one fiber i_square_resid is max(|2c|, |1 - r|) of the exact
+    wedges, with no I and no I @ I."""
 
     @given(omega=st.lists(fractions, min_size=6, max_size=6),
            f=st.lists(fractions, min_size=6, max_size=6))
@@ -613,7 +656,9 @@ class TestOneFiberISquare:
         assume(pfaffian(omega) != 0)
         got = verify_brane(omega, f).i_square_resid
         assert isinstance(got, Fraction)
-        assert got == square_resid(compose_i(omega, f))
+        w_oo = wedge(omega.coeffs, omega.coeffs)
+        two_c, r = 2 * wedge(f.coeffs, omega.coeffs) / w_oo, wedge(f.coeffs, f.coeffs) / w_oo
+        assert got == max(abs(two_c), abs(1 - r)) == _pencil_of(compose_i(omega, f))
 
     @given(omega=st.lists(floats, min_size=6, max_size=6),
            f=st.lists(floats, min_size=6, max_size=6))
@@ -621,7 +666,8 @@ class TestOneFiberISquare:
         omega, f = _float_omega(omega), Form2.from_coeffs(tuple(f))
         i = compose_i(omega, f)
         got = verify_brane(omega, f).i_square_resid
-        assert abs(got - square_resid(i)) <= 1e-12 * (1 + i.max_abs() ** 2)
+        assert type(got) is float
+        assert abs(got - _pencil_of(i)) <= 1e-12 * (1 + i.max_abs() ** 2)
 
     def test_square_resid_is_never_reached(self, monkeypatch):
         def unreachable(*args):

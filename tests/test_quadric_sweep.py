@@ -2,8 +2,9 @@
 
 ``pre_change_rows`` is the body of ``cli.cmd_quadric`` from before the
 quadric samples were stacked, with ``chart_point``, ``reconstruct_brane``
-and the one-fiber ``verify_brane`` it calls kept verbatim as the oracle:
-every class, form and verdict of ``quadric_sweep`` must match it, classes
+and the one-fiber ``verify_brane`` it calls kept verbatim as the oracle
+(but for ``i_square_resid``, now the frame-free value of
+``pencil_i_square_resid``): every class, form and verdict of ``quadric_sweep`` must match it, classes
 and forms by ``repr``, so signed zeros and last bits count.
 """
 
@@ -28,7 +29,6 @@ from branekit.exterior4 import (
     Form2,
     LinearMap4,
     check_omega,
-    compose_i,
     exact_div,
     max_abs,
     pullback_form2,
@@ -44,11 +44,9 @@ from branekit.period_domain import (
 )
 from branekit import torus_forms
 from branekit.torus_forms import (
-    constant_coeffs,
     exterior_d,
     fiber_blocks,
     fold_walk,
-    i_basis,
     rotation_family,
     standard_brane,
     standard_symplectic,
@@ -122,32 +120,21 @@ def _hol_symp_report(blocks, closed, grid_used, tol) -> HolSympReport:
     return HolSympReport(positivity_min, square_resid, closed_resid, passed, grid_used, tol)
 
 
-def _i_entries(omega, basis, f_rows, tol):
-    """I's 16 row-major entries on a block of F's rows: ``basis.T @ f_rows``
-    on the grid, the exact entries of compose_i for a constant F (basis
-    None); NonDegenerateRequired when pf(omega)^2 <= tol."""
-    if basis is None:
-        return [e for row in compose_i(omega, Form2.from_coeffs(f_rows), tol).m for e in row]
-    return basis.T @ f_rows
-
-
-def closed_i_square_resid(i_entries, w_ff, w_fo, w_oo):
-    """max |I^2 + Id| from I's 16 row-major entries, with no I @ I.
+def pencil_i_square_resid(w_ff, w_fo, w_oo):
+    """max(|2c|, |1 - r|) of I^2 + Id = 2c I + (1 - r) Id, the size of I^2 + Id
+    free of the frame.
 
     In dimension 4, Cayley-Hamilton for the Pfaffian pencil pf(F - t omega)
     gives I^2 = 2c I - r Id with c = (F^omega)/(omega^omega) and
-    r = (F^F)/(omega^omega), so I^2 + Id = 2c I + (1 - r) Id with the
-    wedges ``w_ff`` = F^F, ``w_fo`` = F^omega and ``w_oo`` = omega^omega.
-    Plain arithmetic like :func:`wedge`: the exact entries of compose_i at
-    one fiber give an exact value; the (16, n) rows ``basis.T @ f_rows`` of
-    a grid block are scaled in place.  A NaN anywhere gives NaN.
+    r = (F^F)/(omega^omega), with the wedges ``w_ff`` = F^F, ``w_fo`` =
+    F^omega and ``w_oo`` = omega^omega.  Exact wedges at one fiber give an
+    exact value; the rows of a grid block give the largest over its fibers.
+    A NaN anywhere gives NaN.
     """
     two_c, diag = exact_div(2 * w_fo, w_oo), 1 - exact_div(w_ff, w_oo)
-    if not isinstance(i_entries, np.ndarray):
-        return max_abs(two_c * e + (diag if k % 5 == 0 else 0) for k, e in enumerate(i_entries))
-    i_entries *= two_c
-    i_entries[::5] += diag  # the diagonal rows 0, 5, 10, 15
-    return float(np.abs(i_entries, out=i_entries).max())
+    if not isinstance(two_c, np.ndarray):
+        return max_abs((two_c, diag))
+    return float(np.abs(np.stack([two_c, diag])).max())
 
 
 def pre_change_verify_brane(omega: Form2, f, grid: int = 8, tol: float = 1e-9) -> BraneReport:
@@ -161,14 +148,12 @@ def pre_change_verify_brane(omega: Form2, f, grid: int = 8, tol: float = 1e-9) -
     ``verify_holomorphic_symplectic(f, omega, grid, tol)``.
     """
     check_omega(omega, tol)
-    i_tol = min(tol, 1e-12)
-    basis = None if constant_coeffs(f) is not None else i_basis(omega, i_tol)
     hs, orth, i_sq, low = [], [], [], []
     for fc, oc in fiber_blocks(grid, f, omega):
         w_ff, w_fo, w_oo = wedge(fc, fc), wedge(fc, oc), wedge(oc, oc)
         hs.append(_hol_symp_block(w_ff, w_oo, w_fo))
         orth.append(_peak(w_fo))
-        i_sq.append(closed_i_square_resid(_i_entries(omega, basis, fc, i_tol), w_ff, w_fo, w_oo))
+        i_sq.append(pencil_i_square_resid(w_ff, w_fo, w_oo))
         low.append(_low(w_ff))
     # F^F - omega^omega is the real part of (F + i omega)^(F + i omega)
     r_sq, r_orth, r_i = max_abs(block[0] for block in hs), max_abs(orth), max_abs(i_sq)
@@ -362,9 +347,9 @@ class TestOffTheQuadric:
 
 
 class TestVerifyBraneReports:
-    """verify_brane forms its wedges with ``wedge`` and its I^2 + Id
-    diagnostic by one helper: its reports keep every field's value, type
-    and bits."""
+    """verify_brane forms its wedges with ``wedge`` and reads
+    ``i_square_resid`` as max(|2c|, |1 - r|) of those wedges: its reports
+    keep every field's value, type and bits."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_constant_pairs(self, seed):

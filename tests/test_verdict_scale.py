@@ -6,6 +6,7 @@ not from the entries of I^2 + Id."""
 
 import json
 import math
+from fractions import Fraction
 import tempfile
 from pathlib import Path
 
@@ -107,6 +108,12 @@ class TestRegressions:
         omega, f = t * W0, t * F0
         assert linearized_deformation_check(omega, f, t * 1e-10 * W0)
         assert not linearized_deformation_check(omega, f, t * 1e-8 * W0)
+
+    @pytest.mark.parametrize("t", SCALES)
+    def test_degenerate_omega_exits_2_at_one_fiber_and_on_the_grid(self, t):
+        _, rotation = brane_field((1, 0, 0, 0), TrigPolyFn.zero())
+        for form_doc in (_constant_doc(t * F0), _trig_doc(_slot_modes(rotation, t))):
+            assert _run("verify", _constant_doc(t * Form2(c12=1)), form_doc)[0] == 2
 
     def test_checks_agree_near_tol(self):
         # |F^omega| = 0.8e-9 and 2|F^omega| = 1.6e-9 meet tol and 2 tol alike
@@ -243,7 +250,7 @@ class TestSignedPermutation:
 
 #: det-1 integer maps: pulled back by them, F0 + 4e-10 e^{14} keeps its wedge
 #: residuals at 4e-10 while the largest entry of I^2 + Id grows to 6.4e-7
-#: and 3.6e-7
+#: and 3.6e-7; max(|2c|, |1 - r|) stays 4e-10
 SHEARS = (LinearMap4.from_rows([[1, 7, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 40, 1]]),
           LinearMap4.from_rows([[1, 30, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]))
 
@@ -268,6 +275,14 @@ def _pulled_back(p, *forms):
     return tuple(pullback_form2(p, form) for form in forms)
 
 
+def _det_one(rng):
+    """A random integer map of determinant 1, entries in [-3, 3]."""
+    while True:
+        p = random_int_gl4(rng, bound=3)
+        if round(np.linalg.det(np.array(p.m, dtype=float))) == 1:
+            return p
+
+
 class TestFrames:
     @pytest.mark.parametrize("bump, want", [
         (4e-10, (True, True, True, True, True)),
@@ -278,11 +293,44 @@ class TestFrames:
         pairs += [_pulled_back(p, *pairs[0]) for p in SHEARS]
         assert [_outcomes(omega, f) for omega, f in pairs] == [want] * 3
 
-    def test_i_square_resid_stays_the_frame_dependent_max_norm(self):
-        pair = (W0, F0 + Form2(c14=4e-10))
+    @pytest.mark.parametrize("pair, want", [
+        ((W0, F0 + Form2(c14=4e-10)), 4e-10),
+        # the largest entry of I^2 + Id reads 29/25, 9723/25 and 5313/25
+        ((Form2(1, 0, 2, 1, 0, 3), Form2(0, 1, 1, 0, -1, 2)), Fraction(4, 5)),
+    ], ids=["float", "integer"])
+    def test_i_square_resid_is_the_same_in_every_frame(self, pair, want):
         got = [verify_brane(omega, f).i_square_resid
                for omega, f in [pair] + [_pulled_back(p, *pair) for p in SHEARS]]
-        assert got == pytest.approx([4e-10, 6.404e-7, 3.604e-7], rel=1e-3)
+        if isinstance(want, Fraction):
+            assert got == [want] * 3
+        else:
+            assert got == pytest.approx([want] * 3, rel=1e-6)
+
+    @given(omega=st.lists(st.integers(-3, 3), min_size=6, max_size=6),
+           f=st.lists(st.integers(-3, 3), min_size=6, max_size=6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_integer_pullbacks_keep_i_square_resid_exactly(self, omega, f, seed):
+        """A det-1 integer map scales every wedge by its determinant, so the
+        exact max(|2c|, |1 - r|) of an integer pair does not move."""
+        omega, f = Form2.from_coeffs(tuple(omega)), Form2.from_coeffs(tuple(f))
+        assume(pfaffian(omega) != 0)
+        p = _det_one(np.random.default_rng(seed))
+        want = verify_brane(omega, f).i_square_resid
+        assert verify_brane(*_pulled_back(p, omega, f)).i_square_resid == want
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           direction=st.lists(st.floats(-1, 1), min_size=6, max_size=6),
+           log_size=st.sampled_from([-10.0, -3.0, 0.0]))
+    def test_float_pullbacks_keep_i_square_resid(self, seed, direction, log_size):
+        """The float value moves by rounding only: the wedges of the pulled
+        back pair round at eps m^2 for its largest coefficient m, against
+        |pf(omega0)| = 1."""
+        f = F0 + Form2.from_coeffs(tuple(10.0 ** log_size * d for d in direction))
+        w = Form2.from_coeffs(tuple(float(v) for v in W0.coeffs))
+        pulled = _pulled_back(_det_one(np.random.default_rng(seed)), w, f)
+        got = verify_brane(*pulled).i_square_resid
+        m = max(form.max_abs() for form in pulled)
+        assert abs(got - verify_brane(w, f).i_square_resid) <= 1e-14 * m * m
 
     @pytest.mark.parametrize("p", SHEARS)
     def test_nijenhuis_accepts_the_sheared_pair(self, p):
