@@ -19,7 +19,6 @@ I = omega^{-1} o F is read from the same wedges
 (``torus_forms.pencil_resid``), so no check here forms I.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +31,7 @@ from .exterior4 import (
     is_exact,
     max_abs,
     omega_unit,
+    tol_bound,
     wedge,
 )
 from .torus_forms import check_i_square, exterior_d, fold_walk, pencil_resid, walk_points
@@ -54,8 +54,8 @@ class BraneReport:
     """Residuals of the three brane conditions, plus I^2 + Id reported.
 
     ``passed`` is true exactly when every condition's residual is at most
-    ``tol`` in the unit u = |pf(omega)| of :func:`omega_unit` (the wedge
-    residuals at most tol * u, closedness at most tol * sqrt(u)) and F ^ F
+    ``tol`` in the unit u = |pf(omega)| of :func:`omega_unit`, at its degree
+    (:func:`tol_bound`: 2 for the wedge residuals, 1 for closedness) and F ^ F
     is positive (the orientation content of condition (1)).  The wedges
     decide I^2 = -Id for I = omega^{-1} o F: ``i_square_resid`` is the
     largest over the walk of max(|2c|, |1 - r|), the size of
@@ -96,24 +96,25 @@ def _hol_symp_report(peaks, lows, closed, grid_used, tol) -> HolSympReport:
     over a walk and the closedness residuals ``closed`` of re and im.
 
     The unit is u = peak |im^im| / 2, which is |pf(im)| for a constant im
-    (:func:`omega_unit`): the real part meets tol * u and the imaginary
-    part 2 re^im meets 2 tol * u, as F^F - omega^omega and F^omega do in
-    the brane check; closedness meets tol * sqrt(u), and positivity must
-    exceed tol * u everywhere.  A NaN fails."""
+    (:func:`omega_unit`), and each residual is read at its degree
+    (:func:`tol_bound`): the real part re^re - im^im and re^im, the
+    imaginary part over 2, at degree 2, as F^F - omega^omega and F^omega
+    are in the brane check; closedness at degree 1; positivity must exceed
+    the degree-2 bound everywhere.  A NaN fails."""
+    re_sq, re_im, u = peaks[0], peaks[1], float(peaks[2]) / 2
     # doubling is exact, so 2 max |re^im| is max |2 re^im| bit for bit
-    re_sq, im_sq, u = peaks[0], 2 * peaks[1], float(peaks[2]) / 2
-    closed_resid = max_abs(closed)
-    passed = (re_sq <= tol * u and im_sq <= 2 * tol * u and closed_resid <= tol * math.sqrt(u)
-              and lows[0] > tol * u)
-    return HolSympReport(lows[0], max_abs((re_sq, im_sq)), closed_resid, passed, grid_used, tol)
+    square, closed_resid = max_abs((re_sq, 2 * re_im)), max_abs(closed)
+    passed = (re_sq <= tol_bound(tol, u, 2) and re_im <= tol_bound(tol, u, 2)
+              and closed_resid <= tol_bound(tol, u, 1) and lows[0] > tol_bound(tol, u, 2))
+    return HolSympReport(lows[0], square, closed_resid, passed, grid_used, tol)
 
 
 def _brane_passed(r_sq, r_orth, r_closed, orientation_ok, tol, u):
     """The verdict of :class:`BraneReport` from its residuals and the unit
     u of :func:`omega_unit`; elementwise over arrays of residuals.  A NaN
     residual fails."""
-    return ((r_sq <= tol * u) & (r_orth <= tol * u) & (r_closed <= tol * math.sqrt(u))
-            & orientation_ok)
+    return ((r_sq <= tol_bound(tol, u, 2)) & (r_orth <= tol_bound(tol, u, 2))
+            & (r_closed <= tol_bound(tol, u, 1)) & orientation_ok)
 
 
 def verify_brane(omega: Form2, f, grid: int = 8, tol: float = 1e-9) -> BraneReport:
@@ -186,18 +187,19 @@ def equivalence_check(omega: Form2, f, grid: int = 8, tol: float = 1e-9) -> bool
     f + i*omega agree, both read from the one walk of :func:`verify_brane`.
 
     The two formulations are equivalent, and their wedge tests ask the
-    same: F^F - omega^omega and F^omega meet tol * u in the brane check,
-    the real and imaginary parts of (F + i omega)^2 meet tol * u and
-    2 tol * u; neither reads I^2 + Id.  The one place they can disagree is
-    orientation against positivity: the brane check needs F^F > 0 where
-    the other needs F^F + omega^omega > tol * u.  Away from tol they agree;
-    this is a runnable consistency probe.
+    same, at degree 2 (:func:`tol_bound`): F^F - omega^omega and F^omega
+    in the brane check, the real part of (F + i omega)^2 and half its
+    imaginary part in the other; neither reads I^2 + Id.  The one place
+    they can disagree is orientation against positivity: the brane check
+    needs F^F > 0 where the other needs F^F + omega^omega above the
+    degree-2 bound.  Away from tol they agree; this is a runnable
+    consistency probe.
     """
     report = verify_brane(omega, f, grid=grid, tol=tol)
     return report.passed == report.hol_symp.passed
 
 
-def deformation_residuals(omega: Form2, f, alpha, grid: int = 8, tol: float = 1e-9):
+def deformation_residuals(omega: Form2, f, alpha, grid: int = 8):
     """Residuals of the deformation equations for F -> F + alpha.
 
     Returns (r_quad, r_orth, r_closed) with
@@ -228,11 +230,11 @@ def linearized_deformation_check(
     which vanishes exactly when alpha wedges to zero against F and omega.
     Its largest coefficient over the grid, computed block by block (exactly
     at one fiber when F and alpha are constant), and the closedness
-    residual of alpha have degree 1 in (omega, F, alpha): both meet
-    tol * sqrt(u) in the unit u of :func:`omega_unit`.
+    residual of alpha have degree 1 in (omega, F, alpha) (:func:`tol_bound`,
+    in the unit u of :func:`omega_unit`).
     """
     check_omega(omega, tol)
-    bound = tol * math.sqrt(omega_unit(omega))
+    bound = tol_bound(tol, omega_unit(omega), 1)
     if _closedness_resid(alpha) > bound:
         return False
 

@@ -53,7 +53,7 @@ from .cohomology import (
     torus_space,
 )
 from .errors import BranekitError, SchemaError, SweepTooLarge
-from .exterior4 import BIVECTOR_SLOTS, Form2, omega_unit
+from .exterior4 import BIVECTOR_SLOTS, Form2, omega_unit, tol_bound
 from .period_domain import (
     QuadricSpec,
     affine_normal_form,
@@ -381,14 +381,13 @@ def cmd_nijenhuis(args):
     identity_resid = integrability_identity_residual(
         omega, form, _IDENTITY_POINT, h=identity_h, tol=args.tol
     )
-    flat_tol = 1e-6
-    # the defect is free of scale and dF has degree 1 in (omega, F), so dF meets
-    # flat_tol * sqrt(u);
-    # NaN <= flat_tol is false on both sides, so a NaN would read as consistent
+    flat_tol, u = 1e-6, omega_unit(omega)
+    # the defect is free of scale (degree 0) and dF has degree 1 in (omega, F);
+    # NaN <= a bound is false on both sides, so a NaN would read as consistent
     consistent = (
         math.isfinite(max_defect)
         and math.isfinite(max_df)
-        and (max_defect <= flat_tol) == (max_df <= flat_tol * math.sqrt(omega_unit(omega)))
+        and (max_defect <= tol_bound(flat_tol, u, 0)) == (max_df <= tol_bound(flat_tol, u, 1))
     )
     report = {
         "inputs": {"omega": args.omega_file, "form": args.form_file},

@@ -15,15 +15,17 @@ Conventions, fixed once and relied on by every downstream module:
   :func:`inverse_times`, the only inverse of omega in the package, and
   :func:`check_omega`, which it runs first, is the one rule for when omega
   is non-degenerate;
-* :func:`omega_unit`, u = |pf(omega)|, is the one scale of every verdict:
-  a residual of degree d in (omega, F) passes when it is at most
-  tol * u**(d/2), so rescaling (omega, F) leaves every verdict alone.
+* :func:`omega_unit`, u = |pf(omega)|, is the one scale of every verdict,
+  and :func:`tol_bound` is the one place that scales tol by it: a verdict
+  site states its residual's degree, so rescaling (omega, F) leaves every
+  verdict alone.
 
 All formulas are plain arithmetic on the stored scalars, so every
 operation works identically over floats and over exact ``int`` /
 ``fractions.Fraction`` inputs.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -77,15 +79,6 @@ class Form1:
     """A 1-form, coefficients on (dx1, dy1, dx2, dy2)."""
 
     c: tuple
-
-    def __add__(self, other):
-        return Form1(tuple(a + b for a, b in zip(self.c, other.c)))
-
-    def __neg__(self):
-        return Form1(tuple(-a for a in self.c))
-
-    def __rmul__(self, s):
-        return Form1(tuple(s * a for a in self.c))
 
 
 @dataclass(frozen=True)
@@ -232,11 +225,22 @@ def check_omega(omega: Form2, tol):
 def omega_unit(omega: Form2) -> float:
     """u = |pf(omega)| as a float, the scale every verdict reads tol
     against (omega ^ omega = 2 pf(omega) e^{1234}): a residual of degree d
-    in (omega, F) passes when it is at most tol * u**(d/2).  The wedges
-    F^F - omega^omega and F^omega have degree 2, dF degree 1, and I^2 + Id
-    and the Nijenhuis defect degree 0 (I is free of scale).
+    in (omega, F) passes when it is at most ``tol_bound(tol, u, d)``.  The
+    wedges F^F - omega^omega and F^omega have degree 2, dF degree 1, and
+    I^2 + Id and the Nijenhuis defect degree 0 (I is free of scale).
     """
     return abs(float(pfaffian(omega)))
+
+
+def tol_bound(tol, u, degree):
+    """The bound tol * u**(degree/2) that a residual of degree 0, 1 or 2 in
+    (omega, F) is compared with, in the unit u of :func:`omega_unit`: tol,
+    tol * sqrt(u) or tol * u.  A ceiling compares with <= and a floor with
+    >, so a NaN residual fails either way, and so does every residual at
+    degree 1 or 2 against a NaN u.  The square root is ``math.sqrt``,
+    correctly rounded, which ``u ** 0.5`` is not always.
+    """
+    return {0: tol, 1: tol * math.sqrt(u), 2: tol * u}[degree]
 
 
 def inverse_times(omega: Form2, b, tol: float = 1e-12):

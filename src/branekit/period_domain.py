@@ -41,7 +41,7 @@ from .errors import (
     SpaceMismatch,
     TargetOutsideSpan,
 )
-from .exterior4 import Form2, exact_div, half, is_exact
+from .exterior4 import Form2, exact_div, half, is_exact, tol_bound
 
 
 @dataclass(frozen=True)
@@ -63,16 +63,16 @@ class QuadricSpec:
 
 
 def quadric_contains(q: QuadricSpec, c: CohClass, tol: float = 1e-9):
-    """Membership test: c.omega = 0 and c.c = omega.omega, within tol * u
-    for the unit u = |omega.omega| / 2 (|pf| of a torus class, as in
-    :func:`~branekit.exterior4.omega_unit`), so rescaling (omega, c) keeps
-    the verdict; on a class of (S,) coefficient columns, the (S,) bool
-    array of the per-class verdicts.  A NaN pairing fails, silently as in
-    Python floats."""
+    """Membership test: c.omega = 0 and c.c = omega.omega, both of degree 2
+    (:func:`~branekit.exterior4.tol_bound`) in the unit u = |omega.omega| / 2
+    (|pf| of a torus class, as in :func:`~branekit.exterior4.omega_unit`),
+    so rescaling (omega, c) keeps the verdict; on a class of (S,)
+    coefficient columns, the (S,) bool array of the per-class verdicts.  A
+    NaN pairing fails, silently as in Python floats."""
     if c.space != q.space:
         raise SpaceMismatch("class lives in a different space")
     s = q.omega_sq
-    bound = tol * abs(float(s)) / 2
+    bound = tol_bound(tol, abs(float(s)) / 2, 2)
     with np.errstate(invalid="ignore", over="ignore"):
         return (abs(c.pair(q.omega)) <= bound) & (abs(c.pair(c) - s) <= bound)
 

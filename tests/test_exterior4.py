@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from branekit.brane_check import constant_branes_pass
+from branekit.cohomology import class_of_constant_form
 from branekit.errors import NonDegenerateRequired, NotAlmostComplex
 from branekit.exterior4 import (
     BIVECTOR_SLOTS,
@@ -27,10 +29,12 @@ from branekit.exterior4 import (
     pfaffian,
     pullback_form2,
     square_resid,
+    tol_bound,
     type_projectors,
     wedge,
     wedge22,
 )
+from branekit.period_domain import QuadricSpec, quadric_contains
 from branekit.torus_forms import (
     TrigPolyFn,
     TrigPolyForm2,
@@ -315,3 +319,52 @@ class TestPullback:
     def test_matrix_roundtrip(self):
         f = random_form2(np.random.default_rng(5))
         assert form2_of_matrix(matrix_of_form2(f)) == f
+
+
+class TestTolBound:
+    #: u ** 0.5 is one ulp above math.sqrt(u) here, and so is 1e-9 times it
+    POW_MISS = 1.8982890960112404
+
+    def _units(self):
+        rng = np.random.default_rng(27)
+        return [self.POW_MISS, 0.0, 1.0, *np.exp(rng.uniform(-60.0, 60.0, 4000)).tolist()]
+
+    def test_is_tol_times_the_root_of_the_degree_bit_for_bit(self):
+        for tol in (1e-9, 0.0, 2.5):
+            for u in self._units():
+                assert tol_bound(tol, u, 0) == tol
+                assert tol_bound(tol, u, 1) == tol * math.sqrt(u)
+                assert tol_bound(tol, u, 2) == tol * u
+
+    def test_the_sample_tells_sqrt_from_pow(self):
+        assert self.POW_MISS ** 0.5 != math.sqrt(self.POW_MISS)
+        assert tol_bound(1e-9, self.POW_MISS, 1) != 1e-9 * self.POW_MISS ** 0.5
+
+    def test_a_nan_unit_fails_every_ceiling_and_floor(self):
+        for degree in (1, 2):
+            bound = tol_bound(1e-9, math.nan, degree)
+            for value in (0.0, -1.0, 1e-300, 1.0, math.inf, Fraction(1, 3)):
+                assert not value <= bound and not value > bound
+
+    def test_a_degree_outside_0_1_2_is_refused(self):
+        for degree in (-1, 3, 0.5):
+            with pytest.raises(KeyError):
+                tol_bound(1e-9, 4.0, degree)
+
+    def test_reads_elementwise_against_stacked_residuals(self):
+        # omega = 2 omega0 has u = 4, and F = 2 F0 + e^12 + b e^34 has
+        # F^F - omega^omega = 2b, exactly in floats: at 2b = (1 - 2^-20) tol u,
+        # tol u and (1 + 2^-20) tol u the verdicts are pass, pass, fail
+        tol, omega = 2.0 ** -30, 2 * W0
+        u = float(pfaffian(omega))
+        resid = np.array([1 - 2.0 ** -20, 1.0, 1 + 2.0 ** -20]) * tol * u
+        want = [True, True, False]
+        assert (resid <= tol_bound(tol, u, 2)).tolist() == want
+        assert (resid > tol_bound(tol, math.nan, 2)).tolist() == [False] * 3
+        zero, one = np.zeros(3), np.ones(3)
+        fc = (one, 2 * one, zero, zero, -2 * one, resid / 2)
+        assert (wedge(fc, fc) - wedge22(omega, omega).v).tolist() == resid.tolist()
+        assert constant_branes_pass(omega, fc, tol=tol).tolist() == want
+        stacked = class_of_constant_form(Form2.from_coeffs(fc))
+        q = QuadricSpec(stacked.space, class_of_constant_form(omega))
+        assert quadric_contains(q, stacked, tol).tolist() == want

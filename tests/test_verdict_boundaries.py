@@ -9,26 +9,31 @@ with ``<=`` passes there and one that compares with ``>`` fails: swapping
 the two is caught, and so is a wrong factor or unit in the bound.  The
 bounds are those of the package's one rule, tol * u^(d/2) for a residual
 of degree d in the unit u of ``omega_unit``, and the floor max(tol, 1e-9) of
-the I^2 = -Id guard.  In the slot order (12, 13, 14, 23, 24, 34),
-omega0 = e^14 + e^23 pairs e^14 with e^23, F0 = e^13 - e^24 pairs e^13 with
-e^24, and e^12 pairs with e^34 alone, so a term on e^12 wedges to zero
-against both.
+the I^2 = -Id guard; each is written out here by hand, not read from the
+package's ``tol_bound``, so the oracle does not check itself.  In the slot
+order (12, 13, 14, 23, 24, 34), omega0 = e^14 + e^23 pairs e^14 with e^23,
+F0 = e^13 - e^24 pairs e^13 with e^24, and e^12 pairs with e^34 alone, so a
+term on e^12 wedges to zero against both.
 """
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from branekit import cli
 from branekit.brane_check import (
     constant_branes_pass,
     linearized_deformation_check,
     verify_brane,
     verify_holomorphic_symplectic,
 )
+from branekit.cohomology import class_of_constant_form
 from branekit.errors import NonDegenerateRequired, NotPointwiseBrane
 from branekit.exterior4 import Form2, check_omega, omega_unit, pfaffian
+from branekit.period_domain import QuadricSpec, quadric_contains
 from branekit.torus_forms import (
     TrigPolyFn,
     TrigPolyForm2,
@@ -36,7 +41,7 @@ from branekit.torus_forms import (
     standard_symplectic,
 )
 
-from test_verdict_scale import SCALES
+from test_verdict_scale import SCALES, _constant_doc, _run
 
 W0 = standard_symplectic()
 F0 = standard_brane()
@@ -153,6 +158,83 @@ class TestLinearizedDeformationSites:
         t, omega, f = _pair(t)
         for target, want in zip(_multiples(TOL * math.sqrt(omega_unit(omega))), AT_MOST):
             assert linearized_deformation_check(omega, f, _sin_x3(target)) is want
+
+
+def _quadric(omega):
+    """The period quadric of the torus class of omega."""
+    w = class_of_constant_form(omega)
+    return QuadricSpec(w.space, w)
+
+
+@pytest.mark.parametrize("t", SCALES)
+class TestQuadricSites:
+    """c.omega and c.c - omega.omega against tol * |omega.omega| / 2.  For the
+    class of a constant F they are F^omega and F^F - omega^omega, so the
+    forms of the brane square and orth sites serve here too."""
+
+    def test_orth_pairing(self, t):
+        t, omega, f = _pair(t)
+        q = _quadric(omega)
+        for target, want in zip(_multiples(TOL * abs(float(q.omega_sq)) / 2), AT_MOST):
+            c = class_of_constant_form(f + Form2(c14=target / t))
+            assert c.pair(q.omega) == target and c.pair(c) == q.omega_sq
+            assert quadric_contains(q, c) is want
+
+    def test_square_pairing(self, t):
+        t, omega, f = _pair(t)
+        q = _quadric(omega)
+        for target, want in zip(_multiples(TOL * abs(float(q.omega_sq)) / 2), AT_MOST):
+            c = class_of_constant_form(f + Form2(c12=t, c34=target / (2 * t)))
+            assert c.pair(c) - q.omega_sq == target and c.pair(q.omega) == 0
+            assert quadric_contains(q, c) is want
+
+
+def test_orth_at_a_subnormal_bound():
+    # omega = 2^-500 omega0 has u = 2^-1000, so tol * u is subnormal and
+    # 2 * tol * u is not twice it.  F^omega (the brane check), re^im (half
+    # the imaginary part of (F + i omega)^2) and c.omega (the quadric) meet
+    # the one bound tol * u alike, so the three verdicts agree at it
+    t = Fraction(2) ** -500
+    omega, f = t * W0, t * F0
+    u = omega_unit(omega)
+    assert TOL * u < sys.float_info.min and 2 * TOL * u != 2 * (TOL * u)
+    q = _quadric(omega)
+    for target, want in zip(_multiples(TOL * u), AT_MOST):
+        form = f + Form2(c14=target / t)
+        report = verify_brane(omega, form)
+        assert report.wedge_orth_resid == target
+        assert report.passed is want and report.hol_symp.passed is want
+        assert quadric_contains(q, class_of_constant_form(form)) is want
+
+
+FLAT_TOL = 1e-6  # the nijenhuis command's flat tolerance
+
+
+@pytest.mark.parametrize("t", SCALES)
+class TestNijenhuisFlag:
+    """``integrable_iff_closed`` asks that the defect (degree 0) is at most
+    flat_tol exactly when max_dF (degree 1) is at most flat_tol * sqrt(u).
+    The defect and max_dF are stubbed, one of them at a multiple of its
+    bound and the other 0, so the flag is true exactly when that one passes."""
+
+    def _flag(self, monkeypatch, omega, f, defect, max_df):
+        monkeypatch.setattr(cli, "nijenhuis_defect", lambda *args, **kw: (defect, max_df))
+        code, report = _run("nijenhuis", _constant_doc(omega), _constant_doc(f))
+        assert report["max_defect"] == defect and report["max_dF"] == max_df
+        assert code == (0 if report["integrable_iff_closed"] else 1)
+        return report["integrable_iff_closed"]
+
+    def test_defect(self, t, monkeypatch):
+        _, omega, f = _pair(t)
+        for target, want in zip(_multiples(FLAT_TOL), AT_MOST):
+            assert self._flag(monkeypatch, omega, f, float(target), 0.0) is want
+
+    def test_max_df(self, t, monkeypatch):
+        _, omega, f = _pair(t)
+        # the command reads omega from its file in floats
+        u = omega_unit(Form2(*map(float, omega.coeffs)))
+        for target, want in zip(_multiples(FLAT_TOL * math.sqrt(u)), AT_MOST):
+            assert self._flag(monkeypatch, omega, f, 0.0, float(target)) is want
 
 
 def _guard_passes(omega, form, tol):

@@ -1,8 +1,8 @@
 """Report which one-line edits of the verdict code the tests catch.
 
 Each entry of ``MUTANTS`` is one edit: a file, a text that occurs in it
-exactly once, and the text that replaces it (a wrong factor or unit, a
-strict comparison made non-strict, a NaN rule dropped).  For each edit the
+exactly once, and the text that replaces it (a wrong factor, unit or
+degree, a comparison made strict or non-strict, a NaN rule dropped).  For each edit the
 tool copies the tree to a temporary directory, applies the edit to the
 copy, runs the tests there, and prints one line: ``killed`` when the tests
 fail, ``survived`` when they pass, ``n/a`` when the old text does not occur
@@ -41,6 +41,8 @@ class Mutant(NamedTuple):
 BRANE = "src/branekit/brane_check.py"
 TORUS = "src/branekit/torus_forms.py"
 EXTERIOR = "src/branekit/exterior4.py"
+CLI = "src/branekit/cli.py"
+PERIOD = "src/branekit/period_domain.py"
 
 MUTANTS = (
     Mutant("fold-nan-peaks", TORUS,
@@ -48,11 +50,14 @@ MUTANTS = (
     Mutant("fold-nan-lows", TORUS,
            "lows = [b if b < a or b != b else a for", "lows = [b if b < a else a for"),
     Mutant("guard-floor", TORUS, "bound = max(tol, 1e-9)", "bound = max(tol, 1e-6)"),
-    Mutant("orth-factor", BRANE, "(r_orth <= tol * u)", "(r_orth <= 2 * tol * u)"),
-    Mutant("hol-imag-factor", BRANE, "im_sq <= 2 * tol * u", "im_sq <= 4 * tol * u"),
+    Mutant("orth-factor", BRANE,
+           "(r_orth <= tol_bound(tol, u, 2))", "(r_orth <= 2 * tol_bound(tol, u, 2))"),
+    Mutant("hol-imag-factor", BRANE,
+           "re_im <= tol_bound(tol, u, 2)", "re_im <= 2 * tol_bound(tol, u, 2)"),
     Mutant("closed-unit", BRANE,
-           "(r_closed <= tol * math.sqrt(u))", "(r_closed <= tol * u)"),
-    Mutant("positivity-strict", BRANE, "lows[0] > tol * u", "lows[0] >= tol * u"),
+           "(r_closed <= tol_bound(tol, u, 1))", "(r_closed <= tol_bound(tol, u, 2))"),
+    Mutant("positivity-strict", BRANE,
+           "lows[0] > tol_bound(tol, u, 2)", "lows[0] >= tol_bound(tol, u, 2)"),
     Mutant("orientation-strict", BRANE, "bool(lows[1] > 0)", "bool(lows[1] >= 0)"),
     Mutant("omega-strict", EXTERIOR, "if not ratio > tol:", "if not ratio >= tol:"),
     Mutant("pencil-c-not-2c", TORUS, "exact_div(2 * w_fo, w_oo)", "exact_div(w_fo, w_oo)"),
@@ -60,15 +65,44 @@ MUTANTS = (
            "np.maximum(np.abs(two_c), np.abs(diag))", "np.maximum(np.abs(two_c), diag)"),
     Mutant("pencil-fmax", TORUS,
            "np.maximum(np.abs(two_c), np.abs(diag))", "np.fmax(np.abs(two_c), np.abs(diag))"),
-    Mutant("square-factor", BRANE, "((r_sq <= tol * u)", "((r_sq <= 2 * tol * u)"),
-    Mutant("hol-real-factor", BRANE, "re_sq <= tol * u", "re_sq <= 2 * tol * u"),
+    Mutant("square-factor", BRANE,
+           "((r_sq <= tol_bound(tol, u, 2))", "((r_sq <= 2 * tol_bound(tol, u, 2))"),
+    Mutant("hol-real-factor", BRANE,
+           "re_sq <= tol_bound(tol, u, 2)", "re_sq <= 2 * tol_bound(tol, u, 2)"),
     Mutant("hol-closed-unit", BRANE,
-           "closed_resid <= tol * math.sqrt(u)", "closed_resid <= tol * u"),
+           "closed_resid <= tol_bound(tol, u, 1)", "closed_resid <= tol_bound(tol, u, 2)"),
     Mutant("deform-unit", BRANE,
-           "bound = tol * math.sqrt(omega_unit(omega))", "bound = tol * omega_unit(omega)"),
+           "bound = tol_bound(tol, omega_unit(omega), 1)",
+           "bound = tol_bound(tol, omega_unit(omega), 2)"),
     Mutant("deform-closed-strict", BRANE,
            "if _closedness_resid(alpha) > bound:", "if _closedness_resid(alpha) >= bound:"),
     Mutant("deform-type-strict", BRANE, "<= bound)  # NaN fails", "< bound)  # NaN fails"),
+    # a wrong degree at each degree-2 site, and wrong scalings inside the one bound
+    Mutant("square-degree", BRANE,
+           "((r_sq <= tol_bound(tol, u, 2))", "((r_sq <= tol_bound(tol, u, 1))"),
+    Mutant("orth-degree", BRANE,
+           "(r_orth <= tol_bound(tol, u, 2))", "(r_orth <= tol_bound(tol, u, 1))"),
+    Mutant("hol-real-degree", BRANE,
+           "re_sq <= tol_bound(tol, u, 2)", "re_sq <= tol_bound(tol, u, 1)"),
+    Mutant("hol-imag-degree", BRANE,
+           "re_im <= tol_bound(tol, u, 2)", "re_im <= tol_bound(tol, u, 1)"),
+    Mutant("bound-factor", EXTERIOR, "2: tol * u}", "2: 2 * tol * u}"),
+    Mutant("bound-pow", EXTERIOR, "1: tol * math.sqrt(u)", "1: tol * u ** 0.5"),
+    # nijenhuis's flat_tol and quadric_contains
+    Mutant("flat-unit", CLI,
+           "(max_df <= tol_bound(flat_tol, u, 1))", "(max_df <= tol_bound(flat_tol, u, 2))"),
+    Mutant("flat-defect-strict", CLI,
+           "(max_defect <= tol_bound(flat_tol, u, 0))",
+           "(max_defect < tol_bound(flat_tol, u, 0))"),
+    Mutant("flat-defect-degree", CLI,
+           "(max_defect <= tol_bound(flat_tol, u, 0))",
+           "(max_defect <= tol_bound(flat_tol, u, 1))"),
+    Mutant("quadric-factor", PERIOD,
+           "tol_bound(tol, abs(float(s)) / 2, 2)", "tol_bound(tol, abs(float(s)), 2)"),
+    Mutant("quadric-orth-strict", PERIOD,
+           "(abs(c.pair(q.omega)) <= bound)", "(abs(c.pair(q.omega)) < bound)"),
+    Mutant("quadric-sq-strict", PERIOD,
+           "(abs(c.pair(c) - s) <= bound)", "(abs(c.pair(c) - s) < bound)"),
 )
 
 #: what a copy of the tree leaves out
