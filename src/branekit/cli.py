@@ -30,7 +30,10 @@ File formats (JSON, ``version: 1``):
 
 Exit codes: 0 pass, 1 verification failure, 2 input/usage error.  Reports
 are deterministic for fixed inputs and seed once ``--no-timestamp`` is
-given.  Nothing is written on exit 2.
+given.  Nothing is written on exit 2: a sweep draws, evaluates and spools
+its rows ``CHUNK_SAMPLES`` samples at a time (in memory up to 64 KiB, then
+in an unnamed temporary file), so its memory follows the chunk and not the
+count, and its report is written only once every chunk has succeeded.
 """
 
 import argparse
@@ -40,8 +43,10 @@ import math
 import os
 import stat
 import sys
+import tempfile
 from dataclasses import fields
 from importlib import resources
+from itertools import chain
 
 import numpy as np
 
@@ -52,7 +57,7 @@ from .cohomology import (
     k3_space,
     torus_space,
 )
-from .errors import BranekitError, SchemaError, SweepTooLarge
+from .errors import BranekitError, SchemaError
 from .exterior4 import BIVECTOR_SLOTS, Form2, omega_unit, tol_bound
 from .period_domain import (
     QuadricSpec,
@@ -178,8 +183,9 @@ def _num(value):
     return value if isinstance(value, (int, bool)) else float(value)
 
 
-def _emit(text, out_path):
-    """Write a report to stdout, or over the file at ``out_path``.
+def _emit(parts, out_path):
+    """Write the text ``parts`` of a report, in order, to stdout, or over
+    the file at ``out_path``.
 
     An existing file is overwritten in place and then cut to the new
     length, never truncated first: on ext4, closing a file truncated to
@@ -190,43 +196,54 @@ def _emit(text, out_path):
     length to cut.  Same mode, encoding and newlines as ``open(path, "w")``.
     """
     if not out_path:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
         return
     with os.fdopen(os.open(out_path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
-        fh.write(text)
+        fh.writelines(parts)
         if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
             fh.truncate()
 
 
-def _finish_report(report, args, samples=()):
-    """Stamp, encode and emit a report.  The text of ``samples``, the rows
-    of a quadric report, takes the place of the report's empty list under
-    ``"samples"``; every other value is encoded by ``json.dumps``."""
+def _spooled(spool, skip=0):
+    """The text written to ``spool`` less its first ``skip`` characters,
+    in pieces of at most ``_SPOOL_MEMORY`` characters."""
+    spool.seek(0)
+    spool.read(skip)
+    return iter(lambda: spool.read(_SPOOL_MEMORY), "")
+
+
+def _finish_report(report, args, rows=None):
+    """Stamp, encode and emit a report.  The text in the spool ``rows``,
+    the rows of a quadric report each led by a comma, takes the place of
+    the report's empty list under ``"samples"``; every other value is
+    encoded by ``json.dumps``."""
     report.update(version=1, command=args.command)
     if not getattr(args, "no_timestamp", False):
         report["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     try:
-        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
-        if samples:
-            # a top-level key is the only text after a newline and two spaces
-            text = text.replace('\n  "samples": []', '\n  "samples": ' + _quadric_rows(samples), 1)
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:
         raise BranekitError(f"report holds a non-finite number ({exc})") from exc
-    _emit(text + "\n", args.out)
+    parts = [text]
+    if rows and rows.tell():
+        # a top-level key is the only text after a newline and two spaces
+        head, key, tail = text.partition('\n  "samples": [')
+        parts = chain([head, key], _spooled(rows, 1), ["\n  ", tail])
+    _emit(parts, args.out)
 
 
 def _quadric_rows(samples):
-    """The text of the ``samples`` list of a quadric report, the bytes
-    ``json.dumps(report, indent=2, sort_keys=True, allow_nan=False)`` gives
-    it, from one template for the row shape every sample of one chart has:
-    class, form, pass, theta, ybar.  Numbers are written as ``json`` writes
-    them; ValueError on a NaN or an infinity, as ``json.dumps`` refuses it."""
+    """The rows of the ``samples`` list of a quadric report, each led by a
+    comma, the bytes ``json.dumps(report, indent=2, sort_keys=True,
+    allow_nan=False)`` gives them, from one template for the row shape
+    every sample of one chart has: class, form, pass, theta, ybar.  Numbers
+    are written as ``json`` writes them; a NaN or an infinity, which
+    ``json.dumps`` refuses, raises BranekitError."""
     first = samples[0]
     # json lays the row out, null for every number; no key holds "null" or "%"
     shape = {"class": [None] * len(first.cls.coeffs), "form": dict.fromkeys(_SLOT_KEYS),
              "pass": None, "theta": None, "ybar": [None] * len(first.ybar)}
     row = json.dumps(shape, indent=2, sort_keys=True).replace("null", "%s").replace("\n", "\n    ")
-    rows = []
     for sample in samples:
         # _SLOT_KEYS is sorted, so the form's values come in sort_keys order
         values = (*sample.cls.coeffs, *sample.form.coeffs, sample.passed, sample.theta,
@@ -234,9 +251,8 @@ def _quadric_rows(samples):
         text = [float.__repr__(v) if type(v) is float else json.dumps(v, allow_nan=False)
                 for v in values]
         if "nan" in text or "inf" in text or "-inf" in text:
-            raise ValueError("Out of range float values are not JSON compliant")
-        rows.append(row % tuple(text))
-    return "[\n    " + ",\n    ".join(rows) + "\n  ]"
+            raise BranekitError("report holds a non-finite number (NaN or infinity)")
+        yield ",\n    " + row % tuple(text)
 
 
 def _report_dict(rep, *skip):
@@ -267,49 +283,38 @@ def cmd_verify(args):
     return 0 if sb.passed else 1
 
 
-def physical_memory():
-    """The machine's physical memory in bytes, the bound of every sweep."""
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+#: the samples a sweep draws, evaluates and spools at a time
+CHUNK_SAMPLES = 1024
+#: the bytes of rows a spool holds in memory before it moves them to an unnamed
+#: temporary file: a small report never touches the file system
+_SPOOL_MEMORY = 1 << 16
 
 
-#: the most a reported number takes until its report is written, with room:
-#: 64 bytes of its sample's objects (a float is 24, a list, tuple or array
-#: slot 8) and three copies of its text, each at most 48 characters with its
-#: layout, since a report's rows, their join and the report text live at once
-_NUMBER_BYTES = 256
-
-
-def _chart_draws(chart, seed, count, sample_bytes):
-    """``count`` chart points (theta, ybar) drawn from ``seed``.
-
-    Raises SweepTooLarge before the first draw when ``count`` samples of at
-    most ``sample_bytes`` each could take more than the machine's physical
-    memory.
-    """
-    need, have = count * sample_bytes, physical_memory()
-    if need > have:
-        raise SweepTooLarge(f"{count} samples may take up to {need} bytes, "
-                            f"more than the {have} bytes of physical memory")
+def _chart_draws(chart, seed, count):
+    """``count`` chart points (theta, ybar) drawn from ``seed``, in lists of
+    at most ``CHUNK_SAMPLES``: one ``uniform``, then one ``normal(size=k)``,
+    per sample, whatever the chunk."""
     rng, k = np.random.default_rng(seed), len(chart.neg)
-    return [(float(rng.uniform(0.0, 2.0 * math.pi)), tuple(map(float, rng.normal(size=k))))
-            for _ in range(count)]
+    for start in range(0, count, CHUNK_SAMPLES):
+        yield [(float(rng.uniform(0.0, 2.0 * math.pi)), tuple(map(float, rng.normal(size=k))))
+               for _ in range(min(CHUNK_SAMPLES, count - start))]
 
 
 def cmd_quadric(args):
-    chart = _t4_chart(args)
-    # a row reports theta, ybar, the class and the six form coefficients
-    numbers = 1 + len(chart.neg) + chart.spec.space.dim + 6
-    draws = _chart_draws(chart, args.seed, args.samples, _NUMBER_BYTES * numbers)
-    samples = quadric_sweep(chart, draws, tol=max(args.tol, 1e-12))
-    all_pass = all(sample.passed for sample in samples)
-    report = {
-        "inputs": {"omega": args.omega_file, "base": args.base_file},
-        "seed": args.seed,
-        "tolerances": {"tol": args.tol},
-        "samples": [],
-        "pass": all_pass,
-    }
-    _finish_report(report, args, samples)
+    chart, all_pass = _t4_chart(args), True
+    with tempfile.SpooledTemporaryFile(_SPOOL_MEMORY, "w+", newline="") as rows:
+        for draws in _chart_draws(chart, args.seed, args.samples):
+            samples = quadric_sweep(chart, draws, tol=max(args.tol, 1e-12))
+            all_pass = all_pass and all(sample.passed for sample in samples)
+            rows.writelines(_quadric_rows(samples))
+        report = {
+            "inputs": {"omega": args.omega_file, "base": args.base_file},
+            "seed": args.seed,
+            "tolerances": {"tol": args.tol},
+            "samples": [],
+            "pass": all_pass,
+        }
+        _finish_report(report, args, rows)
     return 0 if all_pass else 1
 
 
@@ -351,25 +356,23 @@ def cmd_metric(args):
         + ["off_diag_max", "gamma_resid", "sig_pos", "sig_neg"]
     )
     if args.sweep:
-        # metric_sweep holds at most six float arrays of (1 + k) x dim per
-        # sample at once: the tangents, g and the temporaries of its
-        # symmetrisation, its signature and its gamma residual
-        sample_bytes = 8 * 6 * (1 + k) * chart.spec.space.dim + _NUMBER_BYTES * len(header)
-        params = _chart_draws(chart, args.seed, args.sweep, sample_bytes)
+        chunks = _chart_draws(chart, args.seed, args.sweep)
     else:
         ybar = args.ybar if args.ybar is not None else (0.0,) * k
         if len(ybar) != k:
             raise SchemaError(f"--ybar needs {k} comma-separated values")
-        params = [(0.0 if args.theta is None else args.theta, ybar)]
+        chunks = [[(0.0 if args.theta is None else args.theta, ybar)]]
 
     # csv.writer's bytes: every field is a float repr or an int, so none is quoted
-    lines = [",".join(header)]
-    for (theta, ybar), s in zip(params, metric_sweep(chart, params)):
-        ratio = s.g_theta_theta / s.g_theta_theta_sqrt_form
-        lines.append(",".join(map(repr, (
-            theta, *ybar, s.g_theta_theta, s.g_theta_theta_sqrt_form, ratio,
-            *np.diagonal(s.g)[1:].tolist(), s.off_diag_max, s.gamma_resid, *s.signature))))
-    _emit("\r\n".join(lines) + "\r\n", args.out)
+    with tempfile.SpooledTemporaryFile(_SPOOL_MEMORY, "w+", newline="") as lines:
+        lines.write(",".join(header) + "\r\n")
+        for params in chunks:
+            for (theta, ybar), s in zip(params, metric_sweep(chart, params)):
+                row = (theta, *ybar, s.g_theta_theta, s.g_theta_theta_sqrt_form,
+                       s.g_theta_theta / s.g_theta_theta_sqrt_form, *np.diagonal(s.g)[1:].tolist(),
+                       s.off_diag_max, s.gamma_resid, *s.signature)
+                lines.write(",".join(map(repr, row)) + "\r\n")
+        _emit(_spooled(lines), args.out)
     return 0
 
 

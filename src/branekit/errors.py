@@ -58,10 +58,5 @@ class WalkTooLarge(BranekitError):
     a walk's memory follows its block, so nothing else refuses one."""
 
 
-class SweepTooLarge(BranekitError):
-    """A sample sweep could need more memory than the machine has: its
-    count is an upper bound on what each sample takes."""
-
-
 class SchemaError(BranekitError):
     """An input file does not conform to the expected JSON schema."""

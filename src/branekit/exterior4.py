@@ -142,9 +142,6 @@ class LinearMap4:
     def identity(cls):
         return cls.from_rows([[1 if i == j else 0 for j in range(4)] for i in range(4)])
 
-    def apply(self, v):
-        return tuple(sum(row[i] * v[i] for i in range(4)) for row in self.m)
-
     def __matmul__(self, other):
         rows = [
             [sum(self.m[i][k] * other.m[k][j] for k in range(4)) for j in range(4)]

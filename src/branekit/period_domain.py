@@ -460,9 +460,6 @@ class AffineNormalForm:
         pos = sum(1 for s in self.squares if s > 0)
         return pos, len(self.squares) - pos
 
-    def map_point(self, x_normal):
-        return self.shift + self.basis @ np.asarray(x_normal, dtype=float)
-
 
 def affine_normal_form(a, b, c, tol: float = 1e-9) -> AffineNormalForm:
     """Normal form of the quadric x^T A x + b^T x + c = 0.

@@ -4,17 +4,16 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import errno
 import gc
 import io
 import json
 import math
 import os
-import resource
 import subprocess
 import sys
 import tempfile
 import threading
-import time
 import tracemalloc
 import warnings
 from importlib import resources
@@ -28,10 +27,11 @@ import branekit
 from branekit import cli, torus_forms
 from branekit.cli import main
 from branekit.cohomology import CohClass, torus_space
-from branekit.errors import BranekitError
+from branekit.errors import BranekitError, NonFiniteMatrix, NotInQuadric
 from branekit.exterior4 import Form2
 from branekit.period_domain import QuadricSample
 from branekit.torus_forms import TrigPolyFn, TrigPolyForm2
+import test_golden_reports as golden
 
 ZEROS = {"12": 0, "13": 0, "14": 0, "23": 0, "24": 0, "34": 0}
 SRC = str(Path(branekit.__file__).resolve().parents[1])
@@ -174,13 +174,17 @@ def quadric_samples(draw):
 
 
 def quadric_report(samples):
-    """The report of ``samples`` through ``_finish_report``, as stdout text."""
+    """The report of ``samples``, spooled in two chunks by ``_quadric_rows``
+    and emitted by ``_finish_report``, as stdout text."""
     report = {"inputs": {"omega": "o.json", "base": "b.json"}, "seed": 7,
               "tolerances": {"tol": 1e-9}, "samples": [], "pass": True}
     args = argparse.Namespace(command="quadric", no_timestamp=True, out=None)
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        cli._finish_report(report, args, samples)
+    with tempfile.TemporaryFile("w+", newline="") as rows, contextlib.redirect_stdout(out):
+        for chunk in (samples[:len(samples) // 2], samples[len(samples) // 2:]):
+            if chunk:  # the sweep yields no empty chunk
+                rows.writelines(cli._quadric_rows(chunk))
+        cli._finish_report(report, args, rows)
     return out.getvalue()
 
 
@@ -506,54 +510,54 @@ class TestConsoleEntry:
         assert proc.stdout == ""
 
 
-class TestSweepBound:
-    @pytest.mark.parametrize("option", [["quadric", "--samples"], ["metric", "--sweep"]])
-    def test_a_sweep_beyond_physical_memory_is_refused_at_once(
-        self, tmp_path, omega_file, f0_file, option
-    ):
-        out = tmp_path / "never.out"
-        argv = [option[0], omega_file, f0_file, option[1], str(10 ** 15), "--out", str(out)]
+class TestChunkedSweeps:
+    """A sweep draws, evaluates and spools ``CHUNK_SAMPLES`` samples at a time."""
 
-        def limit():  # a run that does start drawing fails here, not the machine
-            resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+    @pytest.mark.parametrize("chunk", [1, 7])
+    @pytest.mark.parametrize("name", ["quadric", "metric_sweep", "metric_k3_sweep"])
+    def test_the_chunk_leaves_the_golden_bytes(self, tmp_path, monkeypatch, name, chunk):
+        monkeypatch.setattr(cli, "CHUNK_SAMPLES", chunk)
+        code, text = golden._report(name, tmp_path)
+        assert code == golden.RUNS[name][1]
+        assert text.encode() == golden._golden_path(name).read_bytes()
 
-        start = time.monotonic()
-        proc = subprocess.run(
-            [sys.executable, "-m", "branekit.cli"] + argv, capture_output=True, text=True,
-            env=dict(os.environ, PYTHONPATH=SRC), preexec_fn=limit, timeout=300,
-        )
-        assert proc.returncode == 2, proc.stderr[-2000:]
-        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:")
-        assert "more than the" in proc.stderr and "bytes of physical memory" in proc.stderr
-        assert time.monotonic() - start < 60
-        assert not out.exists()
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_a_count_of_zero_keeps_its_report(self, omega_file, f0_file, monkeypatch, capsys,
+                                              chunk):
+        monkeypatch.setattr(cli, "CHUNK_SAMPLES", chunk)
+        assert main(["quadric", omega_file, f0_file, "--samples", "0", "--no-timestamp"]) == 0
+        assert '\n  "samples": [],\n' in capsys.readouterr().out
+        # --sweep 0 is no sweep: the single point at the origin
+        argv = ["metric", omega_file, f0_file, "--no-timestamp"]
+        assert main(argv) == 0
+        single = capsys.readouterr().out
+        assert main(argv + ["--sweep", "0"]) == 0
+        assert capsys.readouterr().out == single and single.count("\r\n") == 2
 
-    def test_the_bound_is_checked_before_the_first_draw(self, omega_file, f0_file, capsys,
-                                                        monkeypatch):
-        monkeypatch.setattr(cli, "physical_memory", lambda: 100 * cli._NUMBER_BYTES * 16)
-        args = ["quadric", omega_file, f0_file, "--no-timestamp", "--samples"]
-        assert main(args + ["100"]) == 0
-        assert len(json.loads(capsys.readouterr().out)["samples"]) == 100
-        monkeypatch.setattr(cli.np.random, "default_rng", None)  # a draw would fail
-        assert main(args + ["101"]) == 2
-        assert "101 samples may take up to" in capsys.readouterr().err
+    def test_a_failing_sample_of_an_early_chunk_fails_the_run(self, omega_file, f0_file,
+                                                             monkeypatch, capsys):
+        monkeypatch.setattr(cli, "CHUNK_SAMPLES", 1)
+        sweep, chunks = cli.quadric_sweep, []
 
-    @pytest.mark.parametrize("command", [["quadric", "--samples"], ["metric", "--sweep"],
-                                         ["metric", "--space", "k3", "--sweep"]])
-    def test_a_sample_takes_less_than_its_count(self, tmp_path, omega_file, f0_file,
-                                                monkeypatch, command):
-        if "k3" in command:
-            files = _k3_pair(tmp_path)
-        else:
-            files = [omega_file, f0_file]
-        counts, draws = [], cli._chart_draws
+        def first_fails(*args, **kw):
+            samples = sweep(*args, **kw)
+            if not chunks:
+                samples = [dataclasses.replace(samples[0], passed=False)] + samples[1:]
+            chunks.append(len(samples))
+            return samples
 
-        def spy(chart, seed, count, sample_bytes):
-            counts.append(sample_bytes)
-            return draws(chart, seed, count, sample_bytes)
+        monkeypatch.setattr(cli, "quadric_sweep", first_fails)
+        assert main(["quadric", omega_file, f0_file, "--samples", "3", "--no-timestamp"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert chunks == [1, 1, 1]
+        assert [s["pass"] for s in report["samples"]] == [False, True, True]
+        assert report["pass"] is False
 
-        monkeypatch.setattr(cli, "_chart_draws", spy)
-        argv = command[:1] + files + command[1:]
+    @pytest.mark.parametrize("command", [["quadric", "--samples"], ["metric", "--sweep"]])
+    def test_memory_follows_the_chunk_not_the_count(self, tmp_path, omega_file, f0_file,
+                                                    monkeypatch, command):
+        monkeypatch.setattr(cli, "CHUNK_SAMPLES", 64)
+        argv = command[:1] + [omega_file, f0_file] + command[1:]
 
         def peak(samples):
             gc.collect()
@@ -565,9 +569,8 @@ class TestSweepBound:
             finally:
                 tracemalloc.stop()
 
-        peak(10)  # one-time allocations land here, not in the growth
-        growth = (peak(4000) - peak(1000)) / 3000
-        assert 0 < growth < counts[-1]
+        peak(100)  # one-time allocations land here, not in the peaks compared
+        assert peak(20_000) <= 1.1 * peak(2_000)
 
 
 class TestReportWriter:
@@ -1070,3 +1073,85 @@ class TestExitCodeContract:
                 assert all(math.isfinite(float(v)) for row in rows[1:] for v in row)
             else:
                 assert _strict_json(out.read_text())["command"] == head[0]
+
+
+def _sweep_argv(sweep, omega_file, f0_file):
+    """Ten samples, three chunks of at most four, of the command that runs ``sweep``."""
+    if sweep == "quadric_sweep":
+        return ["quadric", omega_file, f0_file, "--samples", "10"]
+    return ["metric", omega_file, f0_file, "--sweep", "10"]
+
+
+class TestMidSweepFailure:
+    """A sweep that fails in its second chunk exits 2 and writes nothing:
+    no report text leaves before every chunk has succeeded."""
+
+    def failing_runs(self, tmp_path, argv, capsys, second_chunk_fails):
+        """Run ``argv`` to ``--out`` and to stdout, each run with a fresh
+        ``second_chunk_fails()`` in place, and check both."""
+        out = tmp_path / "report.out"
+        old = b"an older report\n" * 1000
+        out.write_bytes(old)
+        for target in (["--out", str(out)], []):
+            calls = second_chunk_fails()
+            assert main(argv + ["--no-timestamp"] + target) == 2
+            assert len(calls) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            err = captured.err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error:")
+        assert out.read_bytes() == old
+
+    @pytest.mark.parametrize("name, exc", [("quadric_sweep", NotInQuadric("off the quadric")),
+                                           ("metric_sweep", NonFiniteMatrix("not finite"))])
+    def test_a_sweep_that_raises(self, tmp_path, omega_file, f0_file, monkeypatch, capsys,
+                                 name, exc):
+        monkeypatch.setattr(cli, "CHUNK_SAMPLES", 4)
+        sweep = getattr(cli, name)
+
+        def second_chunk_fails():
+            calls = []
+
+            def failing(*args, **kw):
+                calls.append(1)
+                if len(calls) == 2:
+                    raise exc
+                return sweep(*args, **kw)
+
+            monkeypatch.setattr(cli, name, failing)
+            return calls
+
+        self.failing_runs(tmp_path, _sweep_argv(name, omega_file, f0_file), capsys,
+                          second_chunk_fails)
+
+    @pytest.mark.parametrize("name", ["quadric_sweep", "metric_sweep"])
+    def test_a_spool_that_fills(self, tmp_path, omega_file, f0_file, monkeypatch, capsys, name):
+        monkeypatch.setattr(cli, "CHUNK_SAMPLES", 4)
+        sweep = getattr(cli, name)
+
+        def second_chunk_fails():
+            calls = []
+
+            def counted(*args, **kw):
+                calls.append(1)
+                return sweep(*args, **kw)
+
+            class FullSpool(io.StringIO):
+                """A spool whose disk is full from the second chunk on."""
+
+                def write(self, text):
+                    if len(calls) == 2:
+                        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                    return super().write(text)
+
+                def writelines(self, lines):
+                    for line in lines:
+                        self.write(line)
+
+            monkeypatch.setattr(cli, name, counted)
+            monkeypatch.setattr(cli, "tempfile", argparse.Namespace(
+                SpooledTemporaryFile=lambda *args, **kw: FullSpool()))
+            return calls
+
+        self.failing_runs(tmp_path, _sweep_argv(name, omega_file, f0_file), capsys,
+                          second_chunk_fails)

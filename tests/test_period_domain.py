@@ -439,7 +439,7 @@ class TestAffineNormalForm:
             if quad <= 0.1:
                 continue
             x = x / math.sqrt(quad)
-            y = nf.map_point(x)
+            y = nf.shift + nf.basis @ x
             assert abs(y @ a @ y + b @ y + c) <= 1e-9
 
 

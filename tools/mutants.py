@@ -103,6 +103,8 @@ MUTANTS = (
            "(abs(c.pair(q.omega)) <= bound)", "(abs(c.pair(q.omega)) < bound)"),
     Mutant("quadric-sq-strict", PERIOD,
            "(abs(c.pair(c) - s) <= bound)", "(abs(c.pair(c) - s) < bound)"),
+    # a quadric run's verdict folds every chunk's samples
+    Mutant("chunk-last-pass", CLI, "all_pass = all_pass and all(", "all_pass = all("),
 )
 
 #: what a copy of the tree leaves out
