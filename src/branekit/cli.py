@@ -6,8 +6,8 @@ verify        check the brane and holomorphic-symplectic conditions for a
               (symplectic form, 2-form) pair read from JSON files
 quadric       sample the period quadric through a brane's class and
               reconstruct a constant brane from every sample
-metric        evaluate the induced cylinder metric (single point or sweep),
-              CSV output
+metric        evaluate the induced cylinder metric (single point, or a sweep
+              of ``--sweep`` samples, which may be 0), CSV output
 nijenhuis     integrability diagnostics: Nijenhuis defect (exact derivatives)
               vs |dF| plus the finite-difference/exterior-derivative identity
               residual, whose step is max(--h, 1e-5)
@@ -33,7 +33,9 @@ are deterministic for fixed inputs and seed once ``--no-timestamp`` is
 given.  Nothing is written on exit 2: a sweep draws, evaluates and spools
 its rows ``CHUNK_SAMPLES`` samples at a time (in memory up to 64 KiB, then
 in an unnamed temporary file), so its memory follows the chunk and not the
-count, and its report is written only once every chunk has succeeded.
+count, and its report is written only once every chunk has succeeded.  A
+reader that closes stdout early ends the run quietly, with the exit code it
+would have had.
 """
 
 import argparse
@@ -72,7 +74,6 @@ from .period_domain import (
 from .torus_forms import (
     TrigPolyFn,
     TrigPolyForm2,
-    _canonical_modes,
     constant_coeffs,
     integrability_identity_residual,
     nijenhuis_defect,
@@ -155,8 +156,8 @@ def _parse_form(doc, path):
                     _check_number(mode.get("cos", 0), f"{path}: cos"),
                     _check_number(mode.get("sin", 0), f"{path}: sin"),
                 ))
-            # one canonicalization per slot sums duplicate frequencies left to right
-            fns.append(TrigPolyFn(_canonical_modes(raw)))
+            # one merge per slot sums duplicate frequencies left to right, as + does
+            fns.append(TrigPolyFn.from_modes(raw))
         return TrigPolyForm2.from_fns(fns)
     raise SchemaError(f"{path}: unknown kind {kind!r}")
 
@@ -194,9 +195,19 @@ def _emit(parts, out_path):
     Neither way is atomic: a run killed between the write and the cut
     leaves the new bytes followed by old ones.  A FIFO or a device has no
     length to cut.  Same mode, encoding and newlines as ``open(path, "w")``.
+
+    A reader that closes stdout early ends the report quietly: the run
+    keeps its exit code, and stdout goes to the null device, so the
+    interpreter's flush at exit meets no closed pipe.
     """
     if not out_path:
-        sys.stdout.writelines(parts)
+        try:
+            sys.stdout.writelines(parts)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
         return
     with os.fdopen(os.open(out_path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
         fh.writelines(parts)
@@ -344,7 +355,7 @@ def _metric_chart(args):
 
 
 def cmd_metric(args):
-    if args.sweep and (args.theta is not None or args.ybar is not None):
+    if args.sweep is not None and (args.theta is not None or args.ybar is not None):
         raise SchemaError("--sweep draws its own points; --theta and --ybar set a single point")
     chart = _metric_chart(args)
     k = len(chart.neg)
@@ -355,7 +366,7 @@ def cmd_metric(args):
         + [f"g_y{i}_y{i}" for i in range(4, 4 + k)]
         + ["off_diag_max", "gamma_resid", "sig_pos", "sig_neg"]
     )
-    if args.sweep:
+    if args.sweep is not None:
         chunks = _chart_draws(chart, args.seed, args.sweep)
     else:
         ybar = args.ybar if args.ybar is not None else (0.0,) * k
@@ -557,7 +568,7 @@ def _build_parser():
     p.add_argument("--theta", type=_FINITE, default=None, help="circle coordinate, 0 by default")
     p.add_argument("--ybar", type=_POINT, default=None,
                    help="comma-separated chart coordinates, all finite")
-    p.add_argument("--sweep", type=_COUNT, default=0, help="number of random samples")
+    p.add_argument("--sweep", type=_COUNT, default=None, help="number of random samples")
     p.add_argument("--seed", type=_COUNT, default=0)
     common(p, needs_grid=False)
     p.set_defaults(func=cmd_metric)

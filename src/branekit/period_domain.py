@@ -512,12 +512,15 @@ def scalar_with_imaginary_part(
     These are the real and imaginary parts of the complex scalar whose
     multiple of F + i*omega has imaginary part ``target`` in cohomology.
     Exact over rational inputs; raises TargetOutsideSpan when no such
-    scalar exists.
+    scalar exists, that is when the residual target - b*[F] - a*[omega], of
+    degree 1, exceeds its bound in the unit u = |omega.omega| / 2 of
+    :func:`quadric_contains`, so rescaling the three classes keeps the verdict.
     """
     b_coef = exact_div(target.pair(f_class), f_class.pair(f_class))
     a_coef = exact_div(target.pair(omega_class), omega_class.pair(omega_class))
     resid = target - b_coef * f_class - a_coef * omega_class
-    if not resid.max_abs() <= tol:  # a NaN residual is outside the span too
+    bound = tol_bound(tol, abs(float(omega_class.pair(omega_class))) / 2, 1)
+    if not resid.max_abs() <= bound:  # a NaN residual is outside the span too
         raise TargetOutsideSpan(
             f"target is not a combination of the two classes (residual {resid.max_abs()})"
         )

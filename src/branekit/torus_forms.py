@@ -78,25 +78,35 @@ TRIVECTOR_SLOTS = ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
 
 
 def _canonical_modes(raw):
-    """Merge duplicate frequencies and normalise signs; drop zero modes."""
+    """The canonical modes of the sum of the terms (k, a, b) of ``raw``,
+    each k an integer 4-tuple: the one merge of every TrigPolyFn.
+
+    The terms are taken in order.  A term's k is flipped to make its first
+    nonzero component positive (negating b), and k = 0 keeps no sine.  A
+    term whose two values are zero is skipped, and a frequency whose
+    running sum reaches zero is dropped at once, so a later term of it
+    starts afresh.  A frequency starts at 0 + a and 0 + b, so no value is
+    -0.0.  So one merge of a list has the bits and types of the pairwise
+    ``+`` of its one-mode functions.
+    """
     acc = {}
     for k, a, b in raw:
-        k = tuple(int(ki) for ki in k)
-        lead = next((ki for ki in k if ki != 0), 0)
-        if lead < 0:
-            k = tuple(-ki for ki in k)
-            b = -b
-        if k == ZERO_K:
+        if k < ZERO_K:  # a leading negative component
+            k, b = tuple(-v for v in k), -b
+        elif k == ZERO_K:
             b = 0 * b
-        a0, b0 = acc.get(k, (0, 0))
-        acc[k] = (a0 + a, b0 + b)
-    items = []
-    for k in sorted(acc):
-        a, b = acc[k]
         if a == 0 and b == 0:
             continue
-        items.append((k, a, b))
-    return tuple(items)
+        old = acc.get(k)
+        if old is None:
+            acc[k] = (0 + a, 0 + b)
+            continue
+        a, b = old[0] + a, old[1] + b
+        if a == 0 and b == 0:
+            del acc[k]
+        else:
+            acc[k] = (a, b)
+    return tuple((k, a, b) for k, (a, b) in sorted(acc.items()))
 
 
 @dataclass(frozen=True)
@@ -106,12 +116,18 @@ class TrigPolyFn:
     modes: tuple = ()
 
     @classmethod
+    def from_modes(cls, raw):
+        """The sum of the modes (k, cos, sin) of ``raw``, k any 4 integers,
+        merged once (:func:`_canonical_modes`)."""
+        return cls(_canonical_modes([(tuple(map(int, k)), a, b) for k, a, b in raw]))
+
+    @classmethod
     def constant(cls, c):
         return cls(_canonical_modes([(ZERO_K, c, 0)]))
 
     @classmethod
     def mode(cls, k, cos=0, sin=0):
-        return cls(_canonical_modes([(tuple(k), cos, sin)]))
+        return cls.from_modes([(k, cos, sin)])
 
     @classmethod
     def zero(cls):
@@ -136,12 +152,12 @@ class TrigPolyFn:
     def __add__(self, other):
         if not isinstance(other, TrigPolyFn):
             other = TrigPolyFn.constant(other)
-        return TrigPolyFn(_canonical_modes(list(self.modes) + list(other.modes)))
+        return TrigPolyFn(_canonical_modes(self.modes + other.modes))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TrigPolyFn(tuple((k, -a, -b) for k, a, b in self.modes))
+        return self * -1
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, TrigPolyFn) else TrigPolyFn.constant(-other))
@@ -150,9 +166,8 @@ class TrigPolyFn:
         if not isinstance(other, TrigPolyFn):
             if not isinstance(other, (int, float, Fraction)):
                 return NotImplemented
-            scaled = ((k, other * a, other * b) for k, a, b in self.modes)
-            # a mode scaled to zero is dropped, as _canonical_modes drops it
-            return TrigPolyFn(tuple((k, a, b) for k, a, b in scaled if a != 0 or b != 0))
+            return TrigPolyFn(_canonical_modes((k, other * a, other * b)
+                                               for k, a, b in self.modes))
         h = half(is_exact(*(v for _, a, b in self.modes + other.modes for v in (a, b))))
         raw = []
         for k1, a1, b1 in self.modes:
@@ -251,32 +266,14 @@ def _partials_sum(fns, terms):
     """The sum of sign * d_i fns[s] over ``terms`` (s, i, sign), merged once.
 
     d_i of a mode (k, a, b) is (k, b k_i, -a k_i), and the sign multiplies
-    k_i, which is exact.  A term whose two values are zero (k_i = 0, for
-    finite coefficients) is skipped, as ``derivative`` drops it, and a
-    frequency whose running sum reaches zero is dropped at once, as each
-    ``+`` or ``-`` between the partials drops it.  So for functions with
-    canonical modes every value has the bits and type of the chain
+    k_i, which is exact.  The one merge (:func:`_canonical_modes`) skips a
+    term whose two values are zero and drops a frequency whose running sum
+    reaches zero, as ``derivative`` and each ``+`` or ``-`` between the
+    partials do.  So every value has the bits and type of the chain
     ``derivative(i) - derivative(j) + ...``.
     """
-    acc = {}
-    for s, i, sign in terms:
-        for k, a, b in fns[s].modes:
-            ki = sign * k[i]
-            da, db = b * ki, -a * ki
-            if da == 0 and db == 0:
-                continue
-            if k < ZERO_K:  # a leading negative component, as _canonical_modes flips it
-                k, db = tuple(-v for v in k), -db
-            old = acc.get(k)
-            if old is None:
-                acc[k] = (0 + da, 0 + db)
-                continue
-            da, db = old[0] + da, old[1] + db
-            if da == 0 and db == 0:
-                del acc[k]
-            else:
-                acc[k] = (da, db)
-    return TrigPolyFn(tuple((k, a, b) for k, (a, b) in sorted(acc.items())))
+    return TrigPolyFn(_canonical_modes((k, b * (sign * k[i]), -a * (sign * k[i]))
+                                       for s, i, sign in terms for k, a, b in fns[s].modes))
 
 
 def exterior_d(form):

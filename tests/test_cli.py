@@ -509,6 +509,24 @@ class TestConsoleEntry:
         assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:")
         assert proc.stdout == ""
 
+    def test_a_reader_that_closes_early_ends_the_run_quietly(self, tmp_path, capsys):
+        # the report (about 1.2 MB) outgrows the pipe, so the writer meets the close
+        data = resources.files("branekit").joinpath("data")
+        argv = [sys.executable, "-W", "error", "-m", "branekit.cli", "metric",
+                str(data / "omega0.json"), str(data / "f0.json"), "--sweep", "5000",
+                "--no-timestamp"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=dict(os.environ, PYTHONPATH=SRC)) as proc:
+            head = proc.stdout.read(100)
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=120)
+        assert head.startswith(b"theta,")
+        assert (code, err) == (0, b"")
+        # a report that cannot be written to --out is still an error
+        assert main(argv[5:8] + ["--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestChunkedSweeps:
     """A sweep draws, evaluates and spools ``CHUNK_SAMPLES`` samples at a time."""
@@ -527,12 +545,13 @@ class TestChunkedSweeps:
         monkeypatch.setattr(cli, "CHUNK_SAMPLES", chunk)
         assert main(["quadric", omega_file, f0_file, "--samples", "0", "--no-timestamp"]) == 0
         assert '\n  "samples": [],\n' in capsys.readouterr().out
-        # --sweep 0 is no sweep: the single point at the origin
-        argv = ["metric", omega_file, f0_file, "--no-timestamp"]
+        # --sweep 0 is a sweep of zero samples: the header alone, and like
+        # every sweep it refuses a single point
+        argv = ["metric", omega_file, f0_file, "--no-timestamp", "--sweep", "0"]
         assert main(argv) == 0
-        single = capsys.readouterr().out
-        assert main(argv + ["--sweep", "0"]) == 0
-        assert capsys.readouterr().out == single and single.count("\r\n") == 2
+        out = capsys.readouterr().out
+        assert out.startswith("theta,") and out.count("\r\n") == 1
+        assert main(argv + ["--theta", "0"]) == 2
 
     def test_a_failing_sample_of_an_early_chunk_fails_the_run(self, omega_file, f0_file,
                                                              monkeypatch, capsys):
@@ -936,6 +955,21 @@ class TestParseForm:
         doc = {"version": 1, "kind": "trigpoly2", "coeffs": dict(zip(ZEROS, slots))}
         want = TrigPolyForm2(tuple(_fold(modes) for modes in slots))
         assert cli._parse_form(doc, "form.json") == want
+
+    def test_a_slot_that_cancels_part_way_merges_as_its_pairwise_sum(self, tmp_path,
+                                                                    omega_file, capsys):
+        # 1 + -1.0 drops k = 0 at once, so the last 1 stays an int and the
+        # report is the exact one of the constant brane
+        constant = lambda *cos: [{"k": [0, 0, 0, 0], "cos": c} for c in cos]
+        coeffs = {"12": [], "14": [], "23": [], "24": constant(-1), "34": []}
+        reports = []
+        for slot in (constant(1, -1.0, 1), constant(1)):
+            form = write_json(tmp_path / "form.json", {"version": 1, "kind": "trigpoly2",
+                                                       "coeffs": dict(coeffs, **{"13": slot})})
+            assert main(["verify", omega_file, form, "--no-timestamp"]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+        assert '"wedge_square_resid": 0\n' in reports[0]
 
 
 # --- the exit-code contract over drawn inputs --------------------------------

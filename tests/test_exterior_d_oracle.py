@@ -6,11 +6,17 @@ as the oracle: every mode of every slot of d must match in frequency, value,
 type and ``repr``, so signed zeros, last bits and int/Fraction/float types
 all count.  ``TrigPolyFn.derivative``, now the one-term merge of d, is
 held to ``pre_change_derivative`` the same way.
+
+The same spelling pins the one merge of every ``TrigPolyFn``: merging a
+list of modes once equals the pairwise ``+`` of its one-mode functions,
+and every result of the arithmetic and of ``exterior_d`` is canonical and
+holds no ``-0.0``.
 """
 
+import math
 from fractions import Fraction
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from branekit.exterior4 import BIVECTOR_SLOTS
@@ -20,6 +26,7 @@ from branekit.torus_forms import (
     TrigPolyForm1,
     TrigPolyForm2,
     TrigPolyForm3,
+    ZERO_K,
     _canonical_modes,
     exterior_d,
 )
@@ -120,3 +127,45 @@ def test_nan_modes_stay():
     assert spelled(exterior_d(form)) == spelled(pre_change_exterior_d(form))
     for i in range(4):
         assert spelled_fn(fn.derivative(i)) == spelled_fn(pre_change_derivative(fn, i))
+
+
+# --- the one merge ------------------------------------------------------------
+
+#: a frequency, its negative and k = 0, so terms meet after a flip
+raw_modes = st.lists(st.tuples(
+    st.one_of(st.sampled_from([ZERO_K, (0, 1, -1, 0), (0, -1, 1, 0)]), frequencies),
+    values, values), max_size=6)
+
+
+@given(raw_modes)
+@example([((1, 0, 0, 0), 1, 0), ((1, 0, 0, 0), -1.0, 0), ((1, 0, 0, 0), 2, 0)])
+@example([((0, -1, 1, 0), 1, 0), ((0, -1, 1, 0), -1.0, 0), ((0, 1, -1, 0), 2, 3)])
+def test_one_merge_is_the_pairwise_sum(raw):
+    # a frequency whose sum reaches zero is dropped, so its next term starts
+    # afresh: both examples end in int values, where one sum at the end
+    # would give floats
+    total = TrigPolyFn()
+    for k, a, b in raw:
+        total = total + TrigPolyFn.mode(k, cos=a, sin=b)
+    assert spelled_fn(TrigPolyFn.from_modes(raw)) == spelled_fn(total)
+
+
+def assert_canonical(fn):
+    """One entry per integer frequency, in order, the first nonzero component
+    of each positive, no sine on k = 0, no zero mode and no -0.0."""
+    freqs = [k for k, _, _ in fn.modes]
+    assert freqs == sorted(set(freqs))
+    for k, a, b in fn.modes:
+        assert all(type(v) is int for v in k) and len(k) == 4 and k >= ZERO_K
+        assert not (a == 0 and b == 0)
+        assert k != ZERO_K or b == 0 or math.isnan(b)  # 0 * an overflowed sine
+        assert all(math.copysign(1, v) > 0 for v in (a, b) if type(v) is float and v == 0)
+
+
+@given(fns, fns, values, st.one_of(form1s, form2s))
+@example(TrigPolyFn.mode((1, 0, 0, 0), cos=1.0, sin=0.0), TrigPolyFn(), -1.0,
+         TrigPolyForm1.from_fns([0] * 4))
+def test_every_result_is_canonical(f, g, c, form):
+    for fn in (f + g, f - g, f * g, f * c, c * f, -f, f + c, f - c, *exterior_d(f).c,
+               *exterior_d(form).c):
+        assert_canonical(fn)

@@ -19,11 +19,12 @@ from branekit.brane_check import (constant_branes_pass, linearized_deformation_c
                                   verify_brane, verify_holomorphic_symplectic)
 from branekit.cli import main
 from branekit.cohomology import class_of_constant_form, torus_space
-from branekit.errors import BranekitError, NotPointwiseBrane
+from branekit.errors import BranekitError, NotPointwiseBrane, TargetOutsideSpan
 from branekit.exterior4 import (BIVECTOR_SLOTS, Form2, LinearMap4, pfaffian, pullback_form2,
                                 wedge)
-from branekit.period_domain import QuadricSpec, quadric_contains
-from branekit.torus_forms import TrigPolyFn, nijenhuis_defect, standard_brane, standard_symplectic
+from branekit.period_domain import QuadricSpec, quadric_contains, scalar_with_imaginary_part
+from branekit.torus_forms import (TrigPolyFn, nijenhuis_defect, standard_brane, standard_kahler,
+                                  standard_symplectic)
 
 from conftest import brane_field, random_brane_pair, random_int_gl4
 
@@ -108,6 +109,23 @@ class TestRegressions:
         omega, f = t * W0, t * F0
         assert linearized_deformation_check(omega, f, t * 1e-10 * W0)
         assert not linearized_deformation_check(omega, f, t * 1e-8 * W0)
+
+    @pytest.mark.parametrize("t", SCALES)
+    @pytest.mark.parametrize("factor", [0.5, 2])
+    def test_the_span_of_f_and_omega_reads_tol_in_u(self, t, factor):
+        # the Kahler class is orthogonal to both, so it is the whole residual,
+        # of degree 1: it meets tol * sqrt(u) below the bound and fails above
+        space = torus_space()
+        f, omega = (class_of_constant_form(t * form, space) for form in (F0, W0))
+        off = class_of_constant_form(standard_kahler(), space)
+        bound = 1e-9 * math.sqrt(abs(omega.pair(omega)) / 2)
+        target = 0.1 * f + 0.3 * omega + factor * bound * off
+        if factor < 1:
+            a, b = scalar_with_imaginary_part(f, omega, target)
+            assert (a, b) == pytest.approx((0.3, 0.1))
+        else:
+            with pytest.raises(TargetOutsideSpan):
+                scalar_with_imaginary_part(f, omega, target)
 
     @pytest.mark.parametrize("t", SCALES)
     def test_degenerate_omega_exits_2_at_one_fiber_and_on_the_grid(self, t):

@@ -105,6 +105,16 @@ MUTANTS = (
            "(abs(c.pair(c) - s) <= bound)", "(abs(c.pair(c) - s) < bound)"),
     # a quadric run's verdict folds every chunk's samples
     Mutant("chunk-last-pass", CLI, "all_pass = all_pass and all(", "all_pass = all("),
+    # the span of [F] and [omega] reads its residual at degree 1
+    Mutant("span-degree", PERIOD, "abs(float(omega_class.pair(omega_class))) / 2, 1)",
+           "abs(float(omega_class.pair(omega_class))) / 2, 2)"),
+    # the one merge of trig polynomials: each rule of the canonical form
+    Mutant("merge-keep-zero-sum", TORUS, "del acc[k]", "acc[k] = (a, b)"),
+    Mutant("merge-no-flip", TORUS, "k, b = tuple(-v for v in k), -b", "k, b = k, b"),
+    Mutant("merge-zero-k-sine", TORUS, "b = 0 * b", "b = b"),
+    Mutant("merge-no-skip", TORUS, "if a == 0 and b == 0:\n            continue",
+           "if False:\n            continue"),
+    Mutant("merge-signed-zero", TORUS, "acc[k] = (0 + a, 0 + b)", "acc[k] = (a, b)"),
 )
 
 #: what a copy of the tree leaves out
